@@ -91,6 +91,28 @@ fn program_support(program: &Program, exprs: &[&Expr]) -> BTreeSet<VarId> {
     out
 }
 
+/// The commands that can refute `p next q`, and the support a scan for
+/// the refutation needs. `next` is universal (§2): a command that writes
+/// none of `q`'s variables leaves `q` as the skip step does, so only the
+/// writers of `vars(q)` can take a `q`-state out of `q`. The support is
+/// `p`'s and `q`'s variables plus those writers' supports. Whether a
+/// state refutes depends on that support alone, so a scan over it meets
+/// the full scan's first witness in canonical order (non-support
+/// variables sit at their minimum in both) with the same first command.
+pub(crate) fn next_writers(program: &Program, p: &Expr, q: &Expr) -> (Vec<usize>, BTreeSet<VarId>) {
+    let q_vars = vars::free_vars(q);
+    let mut support = q_vars.clone();
+    vars::collect(p, &mut support);
+    let mut writers = Vec::new();
+    for (k, c) in program.commands.iter().enumerate() {
+        if c.updates.iter().any(|(x, _)| q_vars.contains(x)) {
+            command_support(c, &mut support);
+            writers.push(k);
+        }
+    }
+    (writers, support)
+}
+
 fn refuted(program: &Program, prop: &Property, cex: Counterexample) -> McError {
     McError::Refuted {
         property: format!("{} [{}]", prop.display(&program.vocab), program.name),
@@ -172,7 +194,6 @@ pub(crate) fn check_next_in(
             };
         }
     }
-    let support = program_support(program, &[p, q]);
     let vocab = &program.vocab;
     // `stable p` arrives here as `p next p`: compile the predicate once.
     let pq = if p == q { vec![p] } else { vec![p, q] };
@@ -182,7 +203,10 @@ pub(crate) fn check_next_in(
     let found: Option<(unity_core::state::State, Option<usize>)> = 'found: {
         if let Some((layout, commands, preds)) = compile_for_check(program, &pq, cfg, cache) {
             let (cp, cq) = (&preds[0], preds.last().expect("at least one predicate"));
-            let commands = &commands[..];
+            let (writers, support) = next_writers(program, p, q);
+            let writers: Vec<(usize, &CompiledCommand)> =
+                writers.into_iter().map(|k| (k, &commands[k])).collect();
+            let writers = &writers[..];
             let layout_ref = &*layout;
             let word = scan_packed(vocab, layout_ref, Some(&support), cfg, || {
                 let mut scratch = Scratch::new();
@@ -194,7 +218,7 @@ pub(crate) fn check_next_in(
                     if !cq.eval_packed_bool(w, &mut scratch) {
                         return Some((w, None));
                     }
-                    for (k, c) in commands.iter().enumerate() {
+                    for &(k, c) in writers {
                         let after = c.step_packed(w, layout_ref, &mut scratch);
                         // A skipping command lands on w, where q already
                         // held — no need to re-evaluate.
@@ -207,6 +231,9 @@ pub(crate) fn check_next_in(
             })?;
             break 'found word.map(|(w, cmd)| (decode_witness(&layout, vocab, w), cmd));
         }
+        // The reference scan keeps every command and the full support:
+        // it is the semantics the restriction above is pinned against.
+        let support = program_support(program, &[p, q]);
         scan_for(vocab, Some(&support), cfg, |s| {
             if !eval_bool(p, s) {
                 return None;

@@ -596,7 +596,9 @@ impl<'p> Verifier<'p> {
                         _ => VerdictStats::Unmeasured,
                     }
                 } else {
-                    match scan_domain(self.program, prop, &self.cfg) {
+                    // Compiled `next` scans step only the writers of q.
+                    let writers_only = self.cache.status().1;
+                    match scan_domain(self.program, prop, &self.cfg, writers_only) {
                         Some(states) => VerdictStats::Explicit {
                             states,
                             transitions: 0,
@@ -740,9 +742,16 @@ impl<'p> Verifier<'p> {
 
 /// The number of states the dominant explicit scan of `prop` quantifies
 /// over: the projection of the space onto the property's support (the
-/// full product when projection is off). `None` when the size overflows
-/// or the property has no scan (informational only).
-fn scan_domain(program: &Program, prop: &Property, cfg: &ScanConfig) -> Option<u64> {
+/// full product when projection is off). `writers_only` says the
+/// `next`-shaped scans ran compiled, over the writers of `q` alone
+/// ([`crate::check::next_writers`]). `None` when the size overflows or
+/// the property has no scan (informational only).
+fn scan_domain(
+    program: &Program,
+    prop: &Property,
+    cfg: &ScanConfig,
+    writers_only: bool,
+) -> Option<u64> {
     use unity_core::expr::vars;
     let mut support = std::collections::BTreeSet::new();
     let program_wide = |support: &mut std::collections::BTreeSet<unity_core::ident::VarId>| {
@@ -754,24 +763,29 @@ fn scan_domain(program: &Program, prop: &Property, cfg: &ScanConfig) -> Option<u
             }
         }
     };
+    let next = |p: &Expr, q: &Expr, support: &mut std::collections::BTreeSet<_>| {
+        if writers_only {
+            support.extend(crate::check::next_writers(program, p, q).1);
+        } else {
+            vars::collect(p, support);
+            vars::collect(q, support);
+            program_wide(support);
+        }
+    };
     match prop {
         Property::Init(p) => {
             vars::collect(&program.init, &mut support);
             vars::collect(p, &mut support);
         }
-        Property::Next(p, q) => {
-            vars::collect(p, &mut support);
-            vars::collect(q, &mut support);
-            program_wide(&mut support);
-        }
-        Property::Stable(p) | Property::Transient(p) => {
+        Property::Next(p, q) => next(p, q, &mut support),
+        Property::Stable(p) => next(p, p, &mut support),
+        Property::Transient(p) => {
             vars::collect(p, &mut support);
             program_wide(&mut support);
         }
         Property::Invariant(p) => {
             vars::collect(&program.init, &mut support);
-            vars::collect(p, &mut support);
-            program_wide(&mut support);
+            next(p, p, &mut support);
         }
         Property::Unchanged(e) => {
             vars::collect(e, &mut support);

@@ -74,6 +74,53 @@ fn agree<T: std::fmt::Debug, E: std::fmt::Debug>(a: &Result<T, E>, b: &Result<T,
     a.is_ok() == b.is_ok()
 }
 
+/// Predicates over one side of `arb_program`'s write split: `cx` writes
+/// only `x`, `cy` only `y` and `b`, and their guards read both sides.
+/// Compiled `next` scans step only the writers of q's variables, so a
+/// check on one side skips the other side's command; the reference
+/// engine steps both over the full support.
+fn arb_side_pred(x_side: bool) -> impl Strategy<Value = Expr> {
+    let atom = if x_side {
+        prop_oneof![
+            Just(tt()),
+            (0i64..=3).prop_map(|k| le(var(X), int(k))),
+            (0i64..=3).prop_map(|k| eq(var(X), int(k))),
+        ]
+        .boxed()
+    } else {
+        prop_oneof![
+            Just(tt()),
+            Just(var(B)),
+            (0i64..=2).prop_map(|k| eq(var(Y), int(k))),
+        ]
+        .boxed()
+    };
+    atom.prop_recursive(2, 8, 2, |inner| {
+        prop_oneof![
+            inner.clone().prop_map(not),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| and2(a, b)),
+            (inner.clone(), inner).prop_map(|(a, b)| or2(a, b)),
+        ]
+    })
+}
+
+/// Sequential scans report the first witness in canonical order.
+fn sequential(cfg: ScanConfig) -> ScanConfig {
+    ScanConfig {
+        par: ParConfig::sequential(),
+        ..cfg
+    }
+}
+
+/// The counterexample a safety check produced, `None` when it passed.
+fn witness(result: Result<(), McError>) -> Option<Counterexample> {
+    match result {
+        Ok(()) => None,
+        Err(McError::Refuted { cex, .. }) => Some(cex),
+        Err(other) => panic!("check aborted: {other}"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -106,6 +153,32 @@ proptest! {
             let c = check_property(&prog, &prop, Universe::AllStates, &compiled);
             let r = check_property(&prog, &prop, Universe::AllStates, &reference);
             prop_assert!(agree(&c, &r), "engines disagree on {:?}: {:?} vs {:?}", prop, c, r);
+        }
+    }
+
+    #[test]
+    fn writer_only_next_scans_keep_verdict_and_witness(
+        prog in arb_program(),
+        x_side in (arb_side_pred(true), arb_side_pred(true)),
+        yb_side in (arb_side_pred(false), arb_side_pred(false)),
+    ) {
+        let reference = sequential(ScanConfig::reference());
+        let compiled = [
+            sequential(ScanConfig::default()),
+            sequential(ScanConfig::without_projection()),
+        ];
+        for (p, q) in [x_side, yb_side] {
+            for prop in [
+                unity_core::properties::Property::Next(p.clone(), q.clone()),
+                unity_core::properties::Property::Stable(p.clone()),
+                unity_core::properties::Property::Invariant(p.clone()),
+            ] {
+                let r = witness(check_property(&prog, &prop, Universe::AllStates, &reference));
+                for cfg in &compiled {
+                    let c = witness(check_property(&prog, &prop, Universe::AllStates, cfg));
+                    prop_assert_eq!(&c, &r, "{:?} (projection {})", prop, cfg.projection);
+                }
+            }
         }
     }
 
@@ -229,4 +302,43 @@ fn priority_ring_packing_agrees() {
         &ScanConfig::reference(),
     );
     assert_eq!(lc.is_ok(), lr.is_ok());
+}
+
+/// Regression: a refuted `stable` on `x` reports the same first witness
+/// under both engines, although the compiled scan never steps `cy` and
+/// never enumerates `b`.
+#[test]
+fn writer_only_scan_pins_a_refuted_stable() {
+    use unity_core::value::Value;
+    let prog = Program::builder("split", vocab())
+        .command("cy", tt(), vec![(Y, rem(add(var(Y), int(1)), int(3)))])
+        .command("cx", ge(var(Y), int(2)), vec![(X, add(var(X), int(1)))])
+        .build()
+        .unwrap();
+    let stable = unity_core::properties::Property::Stable(le(var(X), int(1)));
+    // `cx` only raises x (or skips at the domain edge): this one holds.
+    let monotone = unity_core::properties::Property::Stable(ge(var(X), int(1)));
+    for cfg in [
+        sequential(ScanConfig::reference()),
+        sequential(ScanConfig::default()),
+    ] {
+        let cex = witness(check_property(&prog, &stable, Universe::AllStates, &cfg));
+        let Some(Counterexample::Next {
+            state,
+            command,
+            after,
+        }) = cex
+        else {
+            panic!("{:?}: expected a next witness, got {cex:?}", cfg.engine);
+        };
+        assert_eq!(command.as_deref(), Some("cx"), "{:?}", cfg.engine);
+        let values = |s: &unity_core::state::State| [X, Y, B].map(|v| s.get(v));
+        let (n, off) = (Value::Int, Value::Bool(false));
+        assert_eq!(values(&state), [n(1), n(2), off], "{:?}", cfg.engine);
+        assert_eq!(values(&after), [n(2), n(2), off], "{:?}", cfg.engine);
+        assert_eq!(
+            witness(check_property(&prog, &monotone, Universe::AllStates, &cfg)),
+            None
+        );
+    }
 }

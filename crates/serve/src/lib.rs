@@ -43,6 +43,7 @@
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+mod history;
 pub mod http;
 pub mod journal;
 pub mod pool;

@@ -57,6 +57,7 @@ use unity_ag::cert::program_hash;
 use unity_mc::prelude::{CompositionalVerifier, Report, ScanConfig, SessionStatus, Verifier};
 use unity_mc::spec::load_spec;
 
+use crate::history::History;
 use crate::journal::Journal;
 use crate::pool::{JobOutcome, WorkerPool};
 use crate::proto::{
@@ -143,7 +144,7 @@ struct ReplyCache {
 pub struct Service {
     store: Arc<ArtifactStore>,
     journal: Mutex<Journal>,
-    history: Mutex<Vec<HistoryEntry>>,
+    history: Mutex<History>,
     pool: WorkerPool,
     default_timeout: Option<Duration>,
     queue_limit: usize,
@@ -202,16 +203,10 @@ impl Service {
         let store = ArtifactStore::open(cfg.data_dir.join("store"))
             .map_err(|e| format!("artifact store: {e}"))?;
         let (journal, replayed) = Journal::open(&cfg.data_dir.join("journal.log"))?;
-        let history = replayed
-            .into_iter()
-            .map(|rec| HistoryEntry {
-                seq: rec.seq,
-                spec_hash: rec.spec_hash,
-                program: rec.report.program.clone(),
-                passed: rec.report.all_passed(),
-                checks: rec.report.checks.len() as u64,
-            })
-            .collect();
+        let mut history = History::default();
+        for rec in &replayed {
+            history.push(rec.seq, &rec.spec_hash, &rec.report);
+        }
         Ok(Service {
             store: Arc::new(store),
             journal: Mutex::new(journal),
@@ -383,13 +378,7 @@ impl Service {
                 }
             }
         };
-        lock(&self.history).push(HistoryEntry {
-            seq,
-            spec_hash: hash.clone(),
-            program: output.report.program.clone(),
-            passed: output.report.all_passed(),
-            checks: output.report.checks.len() as u64,
-        });
+        lock(&self.history).push(seq, &hash, &output.report);
         let response = VerifyResponse {
             seq,
             spec_hash: hash,
@@ -429,11 +418,7 @@ impl Service {
 
     /// The verdict history, optionally restricted to one spec hash.
     pub fn history(&self, spec: Option<&str>) -> Vec<HistoryEntry> {
-        lock(&self.history)
-            .iter()
-            .filter(|e| spec.is_none_or(|h| e.spec_hash == h))
-            .cloned()
-            .collect()
+        lock(&self.history).entries(spec)
     }
 
     /// The sticky degraded reason, if persistence has failed.
@@ -493,9 +478,12 @@ mod tests {
 
     const SPEC: &str = "program P\n  var a : int 0..3\n  var b : int 0..3\n  init a == 0 && b == 0\n  fair cmd right: a < 3 -> a := a + 1\n  fair cmd up: b < 3 -> b := b + 1\nend\nspec S\n  cap: invariant a <= 3\n  done: true leadsto a == 3 && b == 3\nend";
 
+    fn tmp_dir(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("unity_serve_service_{}_{name}", std::process::id()))
+    }
+
     fn tmp_service(name: &str) -> Service {
-        let dir =
-            std::env::temp_dir().join(format!("unity_serve_service_{}_{name}", std::process::id()));
+        let dir = tmp_dir(name);
         let _ = std::fs::remove_dir_all(&dir);
         Service::open(ServiceConfig {
             data_dir: dir,
@@ -672,6 +660,114 @@ mod tests {
         for (c, f) in cold.report.checks.iter().zip(&flat.report.checks) {
             assert_eq!(c.verdict.outcome, f.verdict.outcome, "{}", c.name);
         }
+    }
+
+    #[test]
+    fn concurrent_saves_of_one_segment_both_succeed() {
+        use std::sync::Barrier;
+        let service = tmp_service("concurrent_saves");
+        for round in 0..8 {
+            // A fresh check line per round: both submissions miss the
+            // same component certificate and rewrite A's `certs.seg`.
+            let spec = TWO_COMPONENT_SPEC
+                .replace("invariant a <= 3", &format!("invariant a <= {}", 3 + round));
+            let barrier = Barrier::new(2);
+            std::thread::scope(|scope| {
+                let submit = || {
+                    let mut req = VerifyRequest::new(spec.clone());
+                    req.compositional = true;
+                    barrier.wait();
+                    service.verify(req)
+                };
+                let handles = [scope.spawn(submit), scope.spawn(submit)];
+                for handle in handles {
+                    let resp = handle.join().unwrap().unwrap();
+                    assert!(resp.report.all_passed(), "round {round}");
+                }
+            });
+            assert_eq!(service.degraded(), None, "round {round}");
+        }
+        // Every segment decodes, and no temp file is left behind.
+        let mut certs = 0;
+        for dir in std::fs::read_dir(tmp_dir("concurrent_saves").join("store")).unwrap() {
+            for file in std::fs::read_dir(dir.unwrap().path()).unwrap() {
+                let path = file.unwrap().path();
+                assert_ne!(path.extension().unwrap(), "tmp", "{}", path.display());
+                if path.file_name().unwrap() == "certs.seg" {
+                    let bytes = std::fs::read(&path).unwrap();
+                    let (kind, _) = unity_mc::artifact::decode_segment(&bytes).unwrap();
+                    assert_eq!(kind, crate::store::KIND_CERTS);
+                    certs += 1;
+                }
+            }
+        }
+        assert!(certs > 0);
+    }
+
+    #[test]
+    fn history_replays_canonical_and_other_spec_strings_verbatim() {
+        use crate::proto::history_to_json;
+        let report = tmp_service("replay_source")
+            .verify(VerifyRequest::new(SPEC))
+            .unwrap()
+            .report;
+        let dir = tmp_dir("replay_history");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // A journal written by hand or by another tool may carry spec
+        // strings `spec_hash` never produces.
+        let specs = [
+            spec_hash(SPEC),
+            "0123456789ABCDEF0123456789ABCDEF".to_string(),
+            "hand-edited".to_string(),
+            String::new(),
+            spec_hash(SPEC),
+        ];
+        {
+            let (mut journal, _) = Journal::open(&dir.join("journal.log")).unwrap();
+            for spec in &specs {
+                journal.append(spec, &report).unwrap();
+            }
+        }
+        let service = Service::open(ServiceConfig {
+            data_dir: dir,
+            workers: 1,
+            default_timeout: None,
+            queue_limit: 4,
+        })
+        .unwrap();
+        let expected: Vec<HistoryEntry> = specs
+            .iter()
+            .enumerate()
+            .map(|(k, spec)| HistoryEntry {
+                seq: k as u64 + 1,
+                spec_hash: spec.clone(),
+                program: report.program.clone(),
+                passed: report.all_passed(),
+                checks: report.checks.len() as u64,
+            })
+            .collect();
+        assert_eq!(service.history(None), expected);
+        assert_eq!(
+            history_to_json(&service.history(None)),
+            history_to_json(&expected)
+        );
+        for spec in &specs {
+            let only: Vec<HistoryEntry> = expected
+                .iter()
+                .filter(|e| &e.spec_hash == spec)
+                .cloned()
+                .collect();
+            assert_eq!(service.history(Some(spec)), only, "{spec:?}");
+        }
+        assert!(service
+            .history(Some("0123456789abcdef0123456789abcdef"))
+            .is_empty());
+        assert_eq!(service.status().verdicts, 5);
+        // A fresh verdict lands after the replayed ones.
+        let next = service.verify(VerifyRequest::new(SPEC)).unwrap();
+        assert_eq!(next.seq, 6);
+        assert_eq!(service.history(Some(&next.spec_hash)).len(), 3);
     }
 
     // Degraded-mode, admission-shedding, and fault-injection coverage

@@ -42,6 +42,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::Hasher as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use unity_ag::cert::{CertKey, CertStore};
@@ -100,18 +101,36 @@ fn lock(m: &Mutex<MemCache>) -> MutexGuard<'_, MemCache> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Numbers this process's temp files, so concurrent writes never share one.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
 /// Atomic file write: temp sibling + rename. A crash anywhere in here
 /// leaves either no destination file or the complete old one — the
 /// `store.save.torn` failpoint proves it by writing a prefix of the
-/// temp file and aborting before the rename.
+/// temp file and aborting before the rename. Each write gets its own
+/// temp name (`<file>.<pid>.<n>.tmp`): two concurrent saves of one
+/// segment would otherwise truncate each other's temp file, and the
+/// loser's rename would fail. A failed write removes its temp file.
 fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    let mut f = std::fs::File::create(&tmp)?;
-    unity_fault::fail_torn_write!("store.save.torn", f, bytes);
-    std::io::Write::write_all(&mut f, bytes)?;
-    f.sync_data()?;
-    drop(f);
-    std::fs::rename(&tmp, path)
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = PathBuf::from(tmp);
+    let written = (|| {
+        let mut f = std::fs::File::create(&tmp)?;
+        unity_fault::fail_torn_write!("store.save.torn", f, bytes);
+        std::io::Write::write_all(&mut f, bytes)?;
+        f.sync_data()?;
+        drop(f);
+        std::fs::rename(&tmp, path)
+    })();
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 impl ArtifactStore {
@@ -259,6 +278,13 @@ impl ArtifactStore {
     /// already holds — two systems sharing a component accumulate facts
     /// rather than clobbering each other. Callers clear the store's
     /// dirty set after a successful write.
+    ///
+    /// Two *concurrent* calls for one component are not merged with each
+    /// other: each reads the file, adds its own facts and renames its
+    /// result into place, so the last rename wins and the other side's
+    /// fresh certificates may be dropped. Both writes succeed and the
+    /// file stays whole; a dropped certificate costs a later miss (the
+    /// fact is re-checked), never a wrong verdict.
     pub fn save_certs(&self, certs: &CertStore) -> Result<(), String> {
         let mut by_program: BTreeMap<&str, Vec<(&CertKey, bool)>> = BTreeMap::new();
         for (key, passed) in certs.dirty() {
