@@ -30,27 +30,6 @@ impl FxHasher {
     }
 }
 
-/// The finalized [`FxHasher`] value of a single `u64` — exactly what a
-/// `FxHashMap<u64, _>` computes for the same key, exposed so the sharded
-/// explorer can partition state words consistently with its per-shard
-/// intern tables.
-#[inline]
-pub fn hash_word(word: u64) -> u64 {
-    word.wrapping_mul(SEED)
-}
-
-/// The owning shard of a state word under a power-of-two shard count:
-/// a mask over the **high** bits of the [`hash_word`] finalizer. The
-/// multiply mixes low input bits into the high output bits, so high
-/// bits discriminate well even for small consecutive words — and they
-/// are disjoint from the low bits the intern tables' bucket index uses,
-/// keeping per-shard tables evenly loaded.
-#[inline]
-pub fn shard_of_word(word: u64, shards: u32) -> u32 {
-    debug_assert!(shards.is_power_of_two());
-    ((hash_word(word) >> (64 - shards.trailing_zeros().max(1))) & (shards as u64 - 1)) as u32
-}
-
 impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
@@ -106,35 +85,6 @@ mod tests {
         assert_eq!(h(b"abc"), h(b"abc"));
         assert_ne!(h(b"abc"), h(b"abd"));
         assert_ne!(h(b"12345678"), h(b"12345679"));
-    }
-
-    #[test]
-    fn hash_word_matches_the_hasher() {
-        for w in [0u64, 1, 42, u64::MAX, 0xdead_beef_cafe_f00d] {
-            let mut hasher = FxHasher::default();
-            hasher.write_u64(w);
-            assert_eq!(hash_word(w), hasher.finish());
-        }
-    }
-
-    #[test]
-    fn shard_of_word_is_in_range_and_balanced() {
-        for shards in [1u32, 2, 4, 8, 16, 64] {
-            let mut counts = vec![0u32; shards as usize];
-            for w in 0..4096u64 {
-                let s = shard_of_word(w, shards);
-                assert!(s < shards);
-                counts[s as usize] += 1;
-            }
-            // Consecutive words must spread: no shard may own more than
-            // 4x its fair share (the multiply-rotate mix does far
-            // better; this is a tripwire against a degenerate mask).
-            let fair = 4096 / shards;
-            assert!(
-                counts.iter().all(|&c| c <= 4 * fair),
-                "skewed shards at P={shards}: {counts:?}"
-            );
-        }
     }
 
     #[test]

@@ -30,8 +30,9 @@ pub const SEGMENT_MAGIC: &[u8; 6] = b"UNISEG";
 
 /// Current segment format version. Bump on any payload layout change:
 /// old segments then decode as corrupt (a cache miss), never as
-/// garbage artifacts.
-pub const SEGMENT_VERSION: u16 = 1;
+/// garbage artifacts. Version 2 dropped the shard-base table from the
+/// transition-system payload.
+pub const SEGMENT_VERSION: u16 = 2;
 
 /// [`FxHasher`] digest of `bytes` — the segment integrity checksum.
 /// Non-cryptographic by design: it guards against torn writes and bit
@@ -338,6 +339,19 @@ mod tests {
         for cut in 0..seg.len() {
             assert!(decode_segment(&seg[..cut]).is_err(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn older_segment_versions_are_rejected() {
+        // A well-framed segment whose only fault is its version (1: the
+        // transition-system payload still carried shard bases) must read
+        // as a miss, not decode into a garbage artifact.
+        let payload = b"the artifact payload".to_vec();
+        let mut seg = encode_segment(3, &payload);
+        let at = SEGMENT_MAGIC.len();
+        seg[at..at + 2].copy_from_slice(&1u16.to_le_bytes());
+        let err = decode_segment(&seg).unwrap_err();
+        assert!(err.contains("segment version 1"), "{err}");
     }
 
     #[test]

@@ -37,7 +37,7 @@ use unity_core::state::State;
 
 use crate::parallel::ParConfig;
 use crate::pred::PredIndex;
-use crate::scc::{tarjan_scc, tarjan_scc_pooled_seeded, SccScratch};
+use crate::scc::{tarjan_scc, tarjan_scc_pooled, SccScratch};
 use crate::space::{Engine, ScanConfig};
 use crate::trace::{Counterexample, McError};
 use crate::transition::{TransitionSystem, Universe};
@@ -68,12 +68,6 @@ pub struct LeadsToReport {
     /// Wall-clock milliseconds the transition-system construction took
     /// (memoized sessions pay this once and report it on every check).
     pub build_ms: u64,
-    /// Shards the exploration ran with (1 = sequential build).
-    pub shards: u32,
-    /// Work-stealing services of non-owned shards during the build.
-    pub steals: u64,
-    /// Successor edges crossing shard boundaries during the build.
-    pub cross_shard_edges: u64,
 }
 
 /// Pooled per-session buffers for the worklist liveness engine: the
@@ -249,8 +243,6 @@ fn check_leadsto_worklist(
 
     // SCCs of the ¬q-restricted graph, into the pooled scratch:
     // components are ranges of one flat order array, comp ids are dense.
-    // Roots are seeded shard-by-shard (the sharded builder's memory
-    // layout) — for sequential builds this is plain ascending order.
     let succ = |v: u32| ts.succ_row(v as usize);
     let LivenessScratch {
         scc,
@@ -258,7 +250,7 @@ fn check_leadsto_worklist(
         dangerous,
         worklist,
     } = scratch;
-    tarjan_scc_pooled_seeded(&not_q, succ, ts.scc_seed_order(), scc);
+    tarjan_scc_pooled(&not_q, succ, scc);
 
     // A trap: for every fair command d, some member state keeps its
     // d-successor inside the component. (Trivial SCCs — single state whose
@@ -308,7 +300,6 @@ fn check_leadsto_worklist(
         }
     }
 
-    let build = ts.build_stats();
     let report = LeadsToReport {
         states: n,
         transitions: ts.transition_count(),
@@ -317,10 +308,7 @@ fn check_leadsto_worklist(
         scanned_states: scc.visited(),
         pred_edges,
         worklist_pushes,
-        build_ms: build.build_ms,
-        shards: build.shards,
-        steals: build.steals,
-        cross_shard_edges: build.cross_shard_edges,
+        build_ms: ts.build_stats().build_ms,
     };
 
     // No trap ⇒ nothing is dangerous ⇒ no start state can exist: the
@@ -442,7 +430,6 @@ fn reference_outcome(
     let p_sat = ts.sat_vec(p);
     let start = (0..n).find(|&v| not_q[v] && dangerous[v] && p_sat[v]);
 
-    let build = ts.build_stats();
     let report = LeadsToReport {
         states: n,
         transitions: ts.transition_count(),
@@ -451,10 +438,7 @@ fn reference_outcome(
         scanned_states: not_q.iter().filter(|&&b| b).count(),
         pred_edges: 0,
         worklist_pushes: 0,
-        build_ms: build.build_ms,
-        shards: build.shards,
-        steals: build.steals,
-        cross_shard_edges: build.cross_shard_edges,
+        build_ms: ts.build_stats().build_ms,
     };
 
     match start {

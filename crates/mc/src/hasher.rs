@@ -5,4 +5,4 @@
 //! with the same function the checker's intern tables use. This module
 //! re-exports it under the historical `unity_mc::hasher` path.
 
-pub use unity_core::hash::{hash_word, shard_of_word, FxBuildHasher, FxHashMap, FxHasher};
+pub use unity_core::hash::{FxBuildHasher, FxHashMap, FxHasher};

@@ -17,12 +17,12 @@
 //!   check scales with the `¬q` region, not the whole table.
 //! * Scans are chunk-parallel over the flat state index
 //!   ([`parallel`]), using `crossbeam` scoped threads with atomic early
-//!   exit. Reachable-set construction itself is parallel too: a sharded
-//!   work-stealing explorer partitions packed words by hash, routes
-//!   cross-shard successors through per-shard mailboxes, and stitches
-//!   the shard-local results into the usual flat tables (see
-//!   [`transition::TransitionSystem::build`] and `ParConfig::threads`;
-//!   one thread keeps the exact sequential reference path).
+//!   exit that still reports the lowest witness. So are the full-product
+//!   transition-system fill, the initial-state scan and the predecessor
+//!   index. The reachable transition system has one builder, a
+//!   sequential packed search ([`transition::TransitionSystem::build`]),
+//!   so state numbering and counterexamples do not depend on
+//!   `ParConfig::threads`.
 //! * Under [`space::Engine::Symbolic`] the safety checks route through
 //!   `unity-symbolic` ([`symbolic`]): state sets as BDDs over the packed
 //!   bit layout, with identical verdicts and replayable counterexamples
@@ -65,7 +65,6 @@ pub mod parallel;
 pub mod pred;
 pub mod report;
 pub mod scc;
-pub(crate) mod shard;
 pub mod space;
 pub mod spec;
 pub mod stats;
@@ -100,7 +99,7 @@ pub mod prelude {
     pub use crate::pred::PredIndex;
     pub use crate::report::{CheckReport, Report, SimCheck};
     pub use crate::space::{check_equivalent, check_valid, find_satisfying, Engine, ScanConfig};
-    pub use crate::stats::{BuildStats, McStats};
+    pub use crate::stats::BuildStats;
     pub use crate::symbolic::{reachable_count, reachable_count_with};
     pub use crate::symmetry::{
         check_invariant_symmetric, check_invariant_symmetric_prevalidated, QuotientStats,

@@ -2,11 +2,11 @@
 //!
 //! Validity scans, `next` checks and the like are embarrassingly parallel
 //! over the state index; we split the range into chunks across scoped
-//! `crossbeam` threads with an atomic early-exit flag, and keep the
+//! `crossbeam` threads with an atomic early-exit bound, and keep the
 //! sequential path allocation-light for small spaces (threads cost more
 //! than they save below ~2¹⁴ states).
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
@@ -21,8 +21,8 @@ pub struct ParConfig {
 
 /// The `UNITY_BUILD_THREADS` environment override, read once per
 /// process: CI pins the default thread count with it so the tier-1
-/// suite runs once over the parallel build paths and once (`=1`) over
-/// the exact sequential reference paths. An explicit `--threads` /
+/// suite runs once over the parallel scans and fills and once (`=1`)
+/// over their sequential forms. An explicit `--threads` /
 /// [`ParConfig::with_threads`] still wins — the override only affects
 /// [`ParConfig::default`].
 fn env_threads() -> Option<usize> {
@@ -99,10 +99,14 @@ impl ParConfig {
 pub const RANGE_CHUNK: u64 = 8 * 1024;
 
 /// Searches `0..n` by handing contiguous **ranges** to workers: `f(lo,
-/// hi)` scans `[lo, hi)` and returns a witness if it finds one (*some*
-/// witness when several exist — not necessarily the smallest). Workers
-/// claim chunks from a shared atomic counter (work stealing), so skewed
-/// chunk costs balance out. The range interface lets both engines pay
+/// hi)` scans `[lo, hi)` and returns a witness if it finds one. Workers
+/// claim chunks in ascending order from a shared atomic counter (work
+/// stealing), so skewed chunk costs balance out. The result is the
+/// witness of the **lowest** chunk that has one: once a chunk reports,
+/// no worker starts a chunk above it, and every chunk below it was
+/// already claimed and runs to completion. When `f` returns the first
+/// witness of its range, that is exactly the sequential scan's witness,
+/// at any thread count. The range interface lets both engines pay
 /// their per-chunk setup once: the compiled scans decode a packed
 /// cursor, the reference scans clone a scratch state.
 pub fn par_find_ranges<T, F>(n: u64, cfg: &ParConfig, f: F) -> Option<T>
@@ -117,34 +121,38 @@ where
         .threads
         .min(usize::try_from(n.div_ceil(RANGE_CHUNK)).unwrap_or(usize::MAX))
         .max(1);
-    let found: Mutex<Option<T>> = Mutex::new(None);
-    let stop = AtomicBool::new(false);
+    let found: Mutex<Option<(u64, T)>> = Mutex::new(None);
+    // Lowest chunk start that produced a witness so far (`u64::MAX`:
+    // none). Relaxed is enough: it publishes no data (the witness goes
+    // through `found`'s lock), and it only ever decreases, so a stale
+    // read merely scans one chunk too many.
+    let lowest = AtomicU64::new(u64::MAX);
     let next = AtomicU64::new(0);
     crossbeam::scope(|scope| {
         for _ in 0..threads {
             let f = &f;
             let found = &found;
-            let stop = &stop;
+            let lowest = &lowest;
             let next = &next;
             scope.spawn(move |_| loop {
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
                 let lo = next.fetch_add(RANGE_CHUNK, Ordering::Relaxed);
-                if lo >= n {
+                if lo >= n || lo > lowest.load(Ordering::Relaxed) {
                     return;
                 }
                 let hi = (lo + RANGE_CHUNK).min(n);
                 if let Some(w) = f(lo, hi) {
-                    *found.lock() = Some(w);
-                    stop.store(true, Ordering::Relaxed);
+                    lowest.fetch_min(lo, Ordering::Relaxed);
+                    let mut best = found.lock();
+                    if best.as_ref().is_none_or(|&(at, _)| lo < at) {
+                        *best = Some((lo, w));
+                    }
                     return;
                 }
             });
         }
     })
     .expect("scan worker panicked");
-    found.into_inner()
+    found.into_inner().map(|(_, w)| w)
 }
 
 /// Fills `out` chunk-parallel: `f(lo, chunk)` computes the elements of
@@ -209,61 +217,6 @@ where
     .expect("fill worker panicked");
 }
 
-/// An unbounded multi-producer mailbox of message **batches**.
-///
-/// The sharded explorer routes cross-shard successor words through one
-/// mailbox per destination shard; producers post whole per-sender
-/// batches (one lock acquisition each), and the owning worker drains
-/// everything in one swap. The lock is never held across user work.
-#[derive(Debug, Default)]
-pub struct Mailbox<T> {
-    batches: Mutex<Vec<Vec<T>>>,
-}
-
-impl<T> Mailbox<T> {
-    /// Posts one batch (no-op for an empty one).
-    pub fn post(&self, batch: Vec<T>) {
-        if !batch.is_empty() {
-            self.batches.lock().push(batch);
-        }
-    }
-
-    /// Takes every pending batch, leaving the mailbox empty.
-    pub fn drain(&self) -> Vec<Vec<T>> {
-        std::mem::take(&mut *self.batches.lock())
-    }
-}
-
-/// Chandy–Misra-style quiescence counter for the work-stealing loop.
-///
-/// The counter tracks outstanding work items (frontier entries plus
-/// undelivered mailbox batches). The invariant producers must keep:
-/// **every increment for derived work happens before the decrement of
-/// the work that produced it** — then `quiescent()` returning `true`
-/// means no worker holds work and no mailbox has mail, so termination
-/// is safe to declare without a second confirmation wave.
-#[derive(Debug, Default)]
-pub struct Quiescence {
-    in_flight: AtomicI64,
-}
-
-impl Quiescence {
-    /// Registers `n` new work items.
-    pub fn add(&self, n: i64) {
-        self.in_flight.fetch_add(n, Ordering::SeqCst);
-    }
-
-    /// Retires `n` completed work items.
-    pub fn sub(&self, n: i64) {
-        self.in_flight.fetch_sub(n, Ordering::SeqCst);
-    }
-
-    /// True when no work is outstanding anywhere.
-    pub fn quiescent(&self) -> bool {
-        self.in_flight.load(Ordering::SeqCst) == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,10 +259,54 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_on_randomish_predicate() {
-        let pred = |i: u64| (i * i % 104_729 == 1).then_some(());
-        let seq = find(50_000, &ParConfig::sequential(), pred).is_some();
-        let par = find(50_000, &ParConfig::with_threads(8), pred).is_some();
-        assert_eq!(seq, par);
+        // Witnesses scattered over most chunks, none in the first: every
+        // thread count must report the sequential scan's (lowest) one.
+        let pred = |i: u64| (i >= 10_000 && i * i % 104_729 < 64).then_some(i);
+        let seq = find(50_000, &ParConfig::sequential(), pred);
+        assert!(seq.is_some());
+        for threads in [2, 4, 8] {
+            let par = find(50_000, &ParConfig::with_threads(threads), pred);
+            assert_eq!(par, seq, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn lowest_witness_wins_when_a_higher_chunk_reports_last() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        // Chunks 0 and 1 both hold a witness and run on different
+        // workers: chunk 0 returns only once chunk 1 has started, and
+        // chunk 1 returns only after chunk 0 has, plus a delay. The
+        // later report must not displace the lower witness.
+        let wait_for = |flag: &AtomicBool| {
+            let t0 = Instant::now();
+            while !flag.load(Ordering::SeqCst) && t0.elapsed() < Duration::from_secs(5) {
+                std::thread::yield_now();
+            }
+        };
+        for threads in [2, 4, 8] {
+            let one_started = AtomicBool::new(false);
+            let zero_done = AtomicBool::new(false);
+            let got = par_find_ranges(
+                8 * RANGE_CHUNK,
+                &ParConfig::with_threads(threads),
+                |lo, _| match lo / RANGE_CHUNK {
+                    0 => {
+                        wait_for(&one_started);
+                        zero_done.store(true, Ordering::SeqCst);
+                        Some(lo)
+                    }
+                    1 => {
+                        one_started.store(true, Ordering::SeqCst);
+                        wait_for(&zero_done);
+                        std::thread::sleep(Duration::from_millis(20));
+                        Some(lo)
+                    }
+                    _ => None,
+                },
+            );
+            assert_eq!(got, Some(0), "{threads} threads");
+        }
     }
 
     #[test]
@@ -365,52 +362,6 @@ mod tests {
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i as u32);
         }
-    }
-
-    #[test]
-    fn mailbox_posts_and_drains_batches() {
-        let mb: Mailbox<u64> = Mailbox::default();
-        mb.post(vec![1, 2]);
-        mb.post(Vec::new()); // dropped, not stored
-        mb.post(vec![3]);
-        let got: Vec<u64> = mb.drain().into_iter().flatten().collect();
-        assert_eq!(got, vec![1, 2, 3]);
-        assert!(mb.drain().is_empty());
-    }
-
-    #[test]
-    fn mailbox_is_safe_under_concurrent_posts() {
-        let mb: Mailbox<u64> = Mailbox::default();
-        crossbeam::scope(|scope| {
-            for t in 0..4u64 {
-                let mb = &mb;
-                scope.spawn(move |_| {
-                    for i in 0..100 {
-                        mb.post(vec![t * 1000 + i]);
-                    }
-                });
-            }
-        })
-        .expect("poster panicked");
-        let mut got: Vec<u64> = mb.drain().into_iter().flatten().collect();
-        got.sort_unstable();
-        let mut want: Vec<u64> = (0..4u64)
-            .flat_map(|t| (0..100).map(move |i| t * 1000 + i))
-            .collect();
-        want.sort_unstable();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn quiescence_balances_to_zero() {
-        let q = Quiescence::default();
-        assert!(q.quiescent());
-        q.add(3);
-        assert!(!q.quiescent());
-        q.sub(2);
-        assert!(!q.quiescent());
-        q.sub(1);
-        assert!(q.quiescent());
     }
 
     #[test]

@@ -288,17 +288,12 @@ fn write_stats(out: &mut String, stats: &VerdictStats) {
             pred_edges,
             worklist_pushes,
             build_ms,
-            shards,
-            steals,
-            cross_shard_edges,
         } => {
             let _ = write!(
                 out,
                 "{{\"kind\":\"explicit\",\"states\":{states},\"transitions\":{transitions},\
                  \"scanned_states\":{scanned_states},\"pred_edges\":{pred_edges},\
-                 \"worklist_pushes\":{worklist_pushes},\"build_ms\":{build_ms},\
-                 \"shards\":{shards},\"steals\":{steals},\
-                 \"cross_shard_edges\":{cross_shard_edges}}}"
+                 \"worklist_pushes\":{worklist_pushes},\"build_ms\":{build_ms}}}"
             );
         }
         VerdictStats::Symbolic { stats } => {
@@ -486,7 +481,9 @@ fn read_stats(j: &Json) -> Result<VerdictStats, String> {
     match j.field("kind")?.as_str()? {
         "explicit" => {
             // The traversal counters are additive (schema unchanged):
-            // reports written before they existed read back as 0.
+            // reports written before they existed read back as 0. Keys
+            // this reader does not know (the retired `shards`, `steals`
+            // and `cross_shard_edges` build counters) are ignored.
             let opt =
                 |key: &str| -> u64 { j.field(key).and_then(|v| v.as_int()).unwrap_or(0) as u64 };
             Ok(VerdictStats::Explicit {
@@ -496,9 +493,6 @@ fn read_stats(j: &Json) -> Result<VerdictStats, String> {
                 pred_edges: opt("pred_edges"),
                 worklist_pushes: opt("worklist_pushes"),
                 build_ms: opt("build_ms"),
-                shards: opt("shards") as u32,
-                steals: opt("steals"),
-                cross_shard_edges: opt("cross_shard_edges"),
             })
         }
         "symbolic" => {
@@ -648,9 +642,6 @@ mod tests {
                             pred_edges: 0,
                             worklist_pushes: 0,
                             build_ms: 0,
-                            shards: 0,
-                            steals: 0,
-                            cross_shard_edges: 0,
                         },
                         elapsed: Duration::from_nanos(123),
                         discharge: None,
@@ -691,9 +682,6 @@ mod tests {
                             pred_edges: 5,
                             worklist_pushes: 2,
                             build_ms: 6,
-                            shards: 16,
-                            steals: 3,
-                            cross_shard_edges: 9,
                         },
                         elapsed: Duration::from_nanos(50),
                         discharge: None,
@@ -784,18 +772,24 @@ mod tests {
         assert!(json.contains("\"pred_edges\":5"));
         assert!(json.contains("\"worklist_pushes\":2"));
         assert!(json.contains("\"build_ms\":6"));
-        assert!(json.contains("\"shards\":16"));
-        assert!(json.contains("\"steals\":3"));
-        assert!(json.contains("\"cross_shard_edges\":9"));
+        assert!(!json.contains("shards"));
         let back = Report::from_json(&json).unwrap();
         assert_eq!(back.checks[3].verdict.stats, report.checks[3].verdict.stats);
+        // Schema-1 reports from earlier versions also carry the build's
+        // `shards`/`steals`/`cross_shard_edges` counters after
+        // `build_ms`; they still parse, to the same stats.
+        let older = json.replace(
+            "\"build_ms\":6}",
+            "\"build_ms\":6,\"shards\":16,\"steals\":3,\"cross_shard_edges\":9}",
+        );
+        assert!(older.contains("\"steals\":3"));
+        assert_eq!(Report::from_json(&older).unwrap().checks, report.checks);
     }
 
     #[test]
     fn explicit_stats_without_traversal_counters_still_parse() {
         // Reports written before the worklist engine (or before the
-        // sharded build counters) lack the additive fields; they read
-        // back as 0.
+        // build counters) lack the additive fields; they read back as 0.
         let report = sample();
         let json = report
             .to_json()
@@ -807,14 +801,8 @@ mod tests {
                 ",\"scanned_states\":0,\"pred_edges\":0,\"worklist_pushes\":0",
                 "",
             )
-            .replace(
-                ",\"build_ms\":6,\"shards\":16,\"steals\":3,\"cross_shard_edges\":9",
-                "",
-            )
-            .replace(
-                ",\"build_ms\":0,\"shards\":0,\"steals\":0,\"cross_shard_edges\":0",
-                "",
-            );
+            .replace(",\"build_ms\":6", "")
+            .replace(",\"build_ms\":0", "");
         let back = Report::from_json(&json).unwrap();
         assert_eq!(
             back.checks[3].verdict.stats,
@@ -825,9 +813,6 @@ mod tests {
                 pred_edges: 0,
                 worklist_pushes: 0,
                 build_ms: 0,
-                shards: 0,
-                steals: 0,
-                cross_shard_edges: 0,
             }
         );
     }

@@ -70,23 +70,6 @@ pub fn tarjan_scc_pooled<'a>(
     succ: impl Fn(u32) -> &'a [u32] + Copy,
     scratch: &mut SccScratch,
 ) {
-    tarjan_scc_pooled_seeded(mask, succ, 0..mask.len() as u32, scratch)
-}
-
-/// [`tarjan_scc_pooled`] with an explicit DFS **root order**: `seeds`
-/// enumerates every node id (each masked node must appear at least
-/// once; extra or unmasked ids are skipped), and roots are tried in
-/// that order. The sharded explorer lays states out shard-major, so
-/// seeding each `¬q` region from the shard that owns it walks the
-/// order array with the same locality the build wrote it in. The
-/// *partition* (set of components, membership) is independent of the
-/// seed order; component enumeration order follows the seeds.
-pub fn tarjan_scc_pooled_seeded<'a>(
-    mask: &[bool],
-    succ: impl Fn(u32) -> &'a [u32] + Copy,
-    seeds: impl IntoIterator<Item = u32>,
-    scratch: &mut SccScratch,
-) {
     let n = mask.len();
     const UNVISITED: u32 = u32::MAX;
     let s = scratch;
@@ -104,7 +87,7 @@ pub fn tarjan_scc_pooled_seeded<'a>(
     s.comp_ends.clear();
     let mut next_index: u32 = 0;
 
-    for start in seeds {
+    for start in 0..n as u32 {
         if !mask[start as usize] || s.index[start as usize] != UNVISITED {
             continue;
         }
@@ -416,57 +399,6 @@ mod tests {
         let expect = tarjan_scc(&[true; 3], |v| small[v as usize].as_slice());
         assert_eq!(got, expect);
         assert_eq!(scratch.comp_count(), 1);
-    }
-
-    #[test]
-    fn seeded_roots_keep_the_partition() {
-        // Any seed permutation yields the same component *partition*
-        // (sets of members); only enumeration order may differ. Seeding
-        // with `0..n` reproduces the unseeded run exactly.
-        let adj = random_graph(150, 550, 0xbeef);
-        let n = adj.len() as u32;
-        let mask: Vec<bool> = (0..n).map(|v| v % 7 != 3).collect();
-        let mut scratch = SccScratch::default();
-        tarjan_scc_pooled(&mask, |v| adj[v as usize].as_slice(), &mut scratch);
-        let baseline: Vec<u32> = (0..n).map(|v| scratch.comp_of(v)).collect();
-        let base_count = scratch.comp_count();
-
-        // Identity seeds: bit-identical output.
-        let mut scratch2 = SccScratch::default();
-        tarjan_scc_pooled_seeded(&mask, |v| adj[v as usize].as_slice(), 0..n, &mut scratch2);
-        assert_eq!(scratch2.comp_count(), base_count);
-        for v in 0..n {
-            assert_eq!(scratch2.comp_of(v), scratch.comp_of(v));
-        }
-
-        // Permuted seeds (reversed, strided, with duplicates): same
-        // partition up to component renaming.
-        let perms: Vec<Vec<u32>> = vec![
-            (0..n).rev().collect(),
-            (0..n).map(|v| (v * 37) % n).collect(),
-            (0..n).chain(0..n).collect(),
-        ];
-        for seeds in perms {
-            let mut sc = SccScratch::default();
-            tarjan_scc_pooled_seeded(
-                &mask,
-                |v| adj[v as usize].as_slice(),
-                seeds.iter().copied(),
-                &mut sc,
-            );
-            assert_eq!(sc.comp_count(), base_count);
-            for a in 0..n {
-                for b in 0..n {
-                    if mask[a as usize] && mask[b as usize] {
-                        assert_eq!(
-                            baseline[a as usize] == baseline[b as usize],
-                            sc.comp_of(a) == sc.comp_of(b),
-                            "partition differs on ({a}, {b})"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -1,51 +1,10 @@
-//! Cost accounting for verification runs (feeds the E6/E9 experiments).
-
-use std::time::{Duration, Instant};
-
-/// Aggregated cost of a verification activity.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct McStats {
-    /// States enumerated or visited.
-    pub states: u64,
-    /// Transitions computed.
-    pub transitions: u64,
-    /// Individual property checks performed.
-    pub checks: u64,
-    /// Wall-clock time spent.
-    pub elapsed: Duration,
-}
-
-impl McStats {
-    /// Zeroed statistics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `other` into `self`.
-    pub fn merge(&mut self, other: &McStats) {
-        self.states += other.states;
-        self.transitions += other.transitions;
-        self.checks += other.checks;
-        self.elapsed += other.elapsed;
-    }
-
-    /// Runs `f`, adding its wall-clock time to `elapsed` and bumping
-    /// `checks`.
-    pub fn time<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        let t0 = Instant::now();
-        let out = f();
-        self.elapsed += t0.elapsed();
-        self.checks += 1;
-        out
-    }
-}
+//! Cost accounting for transition-system construction.
 
 /// Cost accounting for one [`TransitionSystem`] construction.
 ///
 /// Stamped by [`TransitionSystem::build`] and carried on the system so
-/// verdict stats and `--stats` output can report how the reachable
-/// graph was obtained. A sequential build reports `shards == 1` and
-/// zero steals/cross-shard edges.
+/// verdict stats and `--stats` output can report how long the graph
+/// took to build.
 ///
 /// [`TransitionSystem`]: crate::transition::TransitionSystem
 /// [`TransitionSystem::build`]: crate::transition::TransitionSystem::build
@@ -53,31 +12,18 @@ impl McStats {
 pub struct BuildStats {
     /// Wall-clock milliseconds spent building the system.
     pub build_ms: u64,
-    /// Number of shards the exploration ran with (1 = sequential).
-    pub shards: u32,
-    /// Times a worker serviced a shard it does not own.
+    /// Always 0: every build is one sequential exploration. Kept only
+    /// because the benchmark harness still reports it as
+    /// `mc.build.steals`.
     pub steals: u64,
-    /// Successor edges whose source and target live in different shards.
+    /// Always 0, for the same reason as [`BuildStats::steals`]: the
+    /// benchmark harness reports it as `mc.build.cross_shard_ratio`.
     pub cross_shard_edges: u64,
 }
 
 impl std::fmt::Display for BuildStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} ms, {} shard(s), {} steal(s), {} cross-shard edge(s)",
-            self.build_ms, self.shards, self.steals, self.cross_shard_edges
-        )
-    }
-}
-
-impl std::fmt::Display for McStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} states, {} transitions, {} checks, {:?}",
-            self.states, self.transitions, self.checks, self.elapsed
-        )
+        write!(f, "{} ms", self.build_ms)
     }
 }
 
@@ -86,54 +32,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_accumulates() {
-        let mut a = McStats {
-            states: 10,
-            transitions: 20,
-            checks: 1,
-            elapsed: Duration::from_millis(5),
-        };
-        let b = McStats {
-            states: 1,
-            transitions: 2,
-            checks: 3,
-            elapsed: Duration::from_millis(1),
-        };
-        a.merge(&b);
-        assert_eq!(a.states, 11);
-        assert_eq!(a.transitions, 22);
-        assert_eq!(a.checks, 4);
-        assert_eq!(a.elapsed, Duration::from_millis(6));
-    }
-
-    #[test]
-    fn time_measures_and_counts() {
-        let mut s = McStats::new();
-        let x = s.time(|| 21 * 2);
-        assert_eq!(x, 42);
-        assert_eq!(s.checks, 1);
-    }
-
-    #[test]
-    fn display_mentions_fields() {
-        let s = McStats::new();
-        let text = s.to_string();
-        assert!(text.contains("states"));
-        assert!(text.contains("checks"));
-    }
-
-    #[test]
     fn build_stats_display_mentions_fields() {
         let b = BuildStats {
             build_ms: 7,
-            shards: 4,
-            steals: 2,
-            cross_shard_edges: 9,
+            ..BuildStats::default()
         };
-        let text = b.to_string();
-        assert!(text.contains("7 ms"));
-        assert!(text.contains("4 shard(s)"));
-        assert!(text.contains("2 steal(s)"));
-        assert!(text.contains("9 cross-shard edge(s)"));
+        assert_eq!(b.to_string(), "7 ms");
     }
 }

@@ -17,18 +17,10 @@ use unity_core::state::{State, StateSpaceIter};
 
 use crate::compiled::CompiledProgram;
 use crate::hasher::FxHashMap;
-use crate::parallel::{par_chunks, ParConfig, RANGE_CHUNK};
+use crate::parallel::{par_chunks, par_find_ranges, ParConfig, RANGE_CHUNK};
 use crate::space::ScanConfig;
 use crate::stats::BuildStats;
 use crate::trace::McError;
-
-/// Build accounting for the single-threaded constructors.
-fn sequential_build_stats() -> BuildStats {
-    BuildStats {
-        shards: 1,
-        ..BuildStats::default()
-    }
-}
 
 /// Which states to include when building the system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,21 +72,53 @@ pub struct TransitionSystem {
     pub n_commands: usize,
     /// Indices (into commands) of the weakly-fair subset `D`.
     pub fair: Vec<usize>,
-    /// Cost accounting for the construction (shards, steals, wall time).
+    /// Cost accounting for the construction (wall time).
     build: BuildStats,
-    /// Global-id base of each exploration shard (ascending, `[0]` for
-    /// sequential builds) — the seed order for shard-aware SCC sweeps.
-    shard_bases: Vec<u32>,
+}
+
+/// Collects the packed words satisfying the compiled init predicate, in
+/// canonical (ascending flat id) order, scanning the full domain
+/// product chunk-parallel. Sequential configurations degrade to exactly
+/// one single-cursor sweep.
+fn collect_init_words(program: &Program, cp: &CompiledProgram, par: &ParConfig) -> Vec<u64> {
+    let layout = &cp.layout;
+    let Some(total) = program.vocab.space_size() else {
+        return Vec::new();
+    };
+    let all_vars: Vec<_> = program.vocab.ids().collect();
+    let chunks: parking_lot::Mutex<Vec<(u64, Vec<u64>)>> = parking_lot::Mutex::new(Vec::new());
+    let witness = par_find_ranges(total, par, |lo, hi| {
+        let mut scratch = Scratch::new();
+        let mut cursor = layout
+            .support_cursor(&all_vars, lo)
+            .expect("space_size checked by caller");
+        let mut found = Vec::new();
+        for _ in lo..hi {
+            let w = cursor.word();
+            if cp.init.eval_packed_bool(w, &mut scratch) {
+                found.push(w);
+            }
+            cursor.advance(layout);
+        }
+        if !found.is_empty() {
+            chunks.lock().push((lo, found));
+        }
+        None::<()>
+    });
+    debug_assert!(witness.is_none(), "total sweep never early-exits");
+    let mut chunks = chunks.into_inner();
+    chunks.sort_unstable_by_key(|&(lo, _)| lo);
+    chunks.into_iter().flat_map(|(_, ws)| ws).collect()
 }
 
 impl TransitionSystem {
     /// Builds the transition system of `program` over the chosen universe.
     ///
-    /// With `cfg.par.threads > 1` the reachable compiled path runs the
-    /// sharded work-stealing explorer (the `shard` module) and the
-    /// full-product compiled path fills rows chunk-parallel; one thread
-    /// keeps the exact sequential reference construction. Either way
-    /// the wall-clock cost is stamped into
+    /// The reachable universe is explored sequentially whatever
+    /// `cfg.par` says; only its initial-state scan is chunk-parallel.
+    /// With `cfg.par.threads > 1` the full-product compiled path fills
+    /// rows chunk-parallel. Every thread count yields the same system,
+    /// id for id. The wall-clock cost is stamped into
     /// [`TransitionSystem::build_stats`].
     pub fn build(program: &Program, universe: Universe, cfg: &ScanConfig) -> Result<Self, McError> {
         let t0 = std::time::Instant::now();
@@ -163,8 +187,7 @@ impl TransitionSystem {
             init,
             n_commands,
             fair: program.fair.iter().copied().collect(),
-            build: sequential_build_stats(),
-            shard_bases: vec![0],
+            build: BuildStats::default(),
         })
     }
 
@@ -172,33 +195,7 @@ impl TransitionSystem {
     /// an integer-keyed table (no per-probe hashing of value slices) and
     /// successors come from compiled command steps. Explicit [`State`]s
     /// are only materialized once per interned state, at the end.
-    ///
-    /// With more than one worker (and a domain at least the sequential
-    /// cutoff) exploration runs sharded and work-stealing instead — same
-    /// state set, init set, and successor relation, different id
-    /// permutation (shard-major instead of discovery order).
     fn build_reachable_packed(program: &Program, cp: CompiledProgram, cfg: &ScanConfig) -> Self {
-        let sharded = cfg.par.threads > 1
-            && program
-                .vocab
-                .space_size()
-                .is_some_and(|n| n >= cfg.par.sequential_cutoff);
-        if sharded {
-            let sb = crate::shard::explore(program, &cp, &cfg.par);
-            return TransitionSystem {
-                vocab: program.vocab.clone(),
-                succ: sb.succ,
-                init: sb.init,
-                n_commands: program.commands.len(),
-                fair: program.fair.iter().copied().collect(),
-                build: sb.stats,
-                shard_bases: sb.bases,
-                store: StateStore::PackedWords {
-                    layout: cp.layout,
-                    words: sb.words,
-                },
-            };
-        }
         let n_commands = program.commands.len();
         let layout = &cp.layout;
         let mut index: FxHashMap<u64, u32> = FxHashMap::default();
@@ -223,7 +220,7 @@ impl TransitionSystem {
         // words come back in canonical order, so the interned ids are
         // identical to the old single-cursor sweep).
         let mut init = Vec::new();
-        for w in crate::shard::collect_init_words(program, &cp, &cfg.par) {
+        for w in collect_init_words(program, &cp, &cfg.par) {
             init.push(intern(w, &mut words, &mut index, &mut frontier));
         }
         init.sort_unstable();
@@ -253,8 +250,7 @@ impl TransitionSystem {
             init,
             n_commands,
             fair: program.fair.iter().copied().collect(),
-            build: sequential_build_stats(),
-            shard_bases: vec![0],
+            build: BuildStats::default(),
             store: StateStore::PackedWords {
                 layout: cp.layout,
                 words,
@@ -293,8 +289,7 @@ impl TransitionSystem {
             init,
             n_commands,
             fair: program.fair.iter().copied().collect(),
-            build: sequential_build_stats(),
-            shard_bases: vec![0],
+            build: BuildStats::default(),
         })
     }
 
@@ -337,8 +332,7 @@ impl TransitionSystem {
             init,
             n_commands,
             fair: program.fair.iter().copied().collect(),
-            build: sequential_build_stats(),
-            shard_bases: vec![0],
+            build: BuildStats::default(),
             store: StateStore::PackedRange {
                 layout: cp.layout,
                 n: n as usize,
@@ -398,8 +392,7 @@ impl TransitionSystem {
             init,
             n_commands,
             fair: program.fair.iter().copied().collect(),
-            build: sequential_build_stats(),
-            shard_bases: vec![0],
+            build: BuildStats::default(),
             store: StateStore::PackedRange {
                 layout: cp.layout,
                 n: n as usize,
@@ -530,26 +523,9 @@ impl TransitionSystem {
         self.succ.len()
     }
 
-    /// Cost accounting for how this system was built (wall time, shard
-    /// count, steals, cross-shard edges). Sequential constructions
-    /// report one shard and zero steals.
+    /// Cost accounting for how this system was built (wall time).
     pub fn build_stats(&self) -> &BuildStats {
         &self.build
-    }
-
-    /// Seed order for SCC sweeps: global ids grouped by owning
-    /// exploration shard, ascending within each shard. Shard bases are
-    /// contiguous and ascending, so this enumerates `0..len` — but
-    /// expressed shard-by-shard, which is the order the sharded builder
-    /// laid the ids out in memory.
-    pub fn scc_seed_order(&self) -> impl Iterator<Item = u32> + '_ {
-        let n = self.len() as u32;
-        let bases = &self.shard_bases;
-        (0..bases.len()).flat_map(move |i| {
-            let lo = bases[i];
-            let hi = bases.get(i + 1).copied().unwrap_or(n);
-            lo..hi
-        })
     }
 
     /// The successor row of state `s` (one entry per command).
@@ -608,7 +584,6 @@ impl TransitionSystem {
         w.u32_slice(&self.init);
         let fair: Vec<u32> = self.fair.iter().map(|&c| c as u32).collect();
         w.u32_slice(&fair);
-        w.u32_slice(&self.shard_bases);
         w.u32_slice(&self.succ);
         Some(w.into_vec())
     }
@@ -663,7 +638,6 @@ impl TransitionSystem {
         };
         let init = r.u32_vec()?;
         let fair_raw = r.u32_vec()?;
-        let shard_bases = r.u32_vec()?;
         let succ = r.u32_vec()?;
         r.finish()?;
         if succ.len() != n * n_commands {
@@ -683,13 +657,6 @@ impl TransitionSystem {
         if fair_raw.iter().any(|&c| c as usize >= n_commands) {
             return Err("fair command index out of range".into());
         }
-        if shard_bases.is_empty()
-            || shard_bases[0] != 0
-            || shard_bases.windows(2).any(|w| w[0] > w[1])
-            || shard_bases.iter().any(|&b| b as usize > n)
-        {
-            return Err("shard bases are not ascending from 0".into());
-        }
         Ok(TransitionSystem {
             vocab: program.vocab.clone(),
             store,
@@ -697,11 +664,7 @@ impl TransitionSystem {
             init,
             n_commands,
             fair: fair_raw.into_iter().map(|c| c as usize).collect(),
-            build: BuildStats {
-                shards: shard_bases.len() as u32,
-                ..BuildStats::default()
-            },
-            shard_bases,
+            build: BuildStats::default(),
         })
     }
 }
@@ -825,14 +788,12 @@ mod tests {
             assert_eq!(back.succ, ts.succ);
             assert_eq!(back.fair, ts.fair);
             assert_eq!(back.n_commands, ts.n_commands);
-            assert_eq!(back.shard_bases, ts.shard_bases);
             // States decode identically (word list / range arithmetic).
             for id in 0..ts.len() as u32 {
                 assert_eq!(back.state(id), ts.state(id));
             }
-            // Restored systems report zero build cost, same shard count.
+            // Restored systems report zero build cost.
             assert_eq!(back.build_stats().build_ms, 0);
-            assert_eq!(back.build_stats().shards, ts.build_stats().shards);
             // And the restored bytes re-serialize identically.
             assert_eq!(back.to_artifact_bytes().unwrap(), bytes);
         }

@@ -293,13 +293,6 @@ pub enum VerdictStats {
         /// Wall-clock milliseconds the transition-system build took
         /// (0 for pure scans, which build no system).
         build_ms: u64,
-        /// Shards the build's exploration ran with (1 = sequential,
-        /// 0 for pure scans).
-        shards: u32,
-        /// Work-stealing services of non-owned shards during the build.
-        steals: u64,
-        /// Successor edges crossing shard boundaries during the build.
-        cross_shard_edges: u64,
     },
     /// Symbolic engine: a snapshot of the session's cumulative arena
     /// counters at check completion.
@@ -569,9 +562,6 @@ impl<'p> Verifier<'p> {
                             pred_edges: report.pred_edges as u64,
                             worklist_pushes: report.worklist_pushes as u64,
                             build_ms: report.build_ms,
-                            shards: report.shards,
-                            steals: report.steals,
-                            cross_shard_edges: report.cross_shard_edges,
                         },
                     ),
                     Err(e) => (Err(e), VerdictStats::Unmeasured),
@@ -606,9 +596,6 @@ impl<'p> Verifier<'p> {
                             pred_edges: 0,
                             worklist_pushes: 0,
                             build_ms: 0,
-                            shards: 0,
-                            steals: 0,
-                            cross_shard_edges: 0,
                         },
                         None => VerdictStats::Unmeasured,
                     }

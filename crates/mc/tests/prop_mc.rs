@@ -1,8 +1,9 @@
 //! Property-based tests of the model checker on *random programs*:
 //! symbolic/operational agreement, soundness of the paper's
 //! existential/universal classification (checked semantically under
-//! composition), and the Transient rule's soundness against the exact fair
-//! `leadsto` checker.
+//! composition), the Transient rule's soundness against the exact fair
+//! `leadsto` checker, and thread-count independence of builds and
+//! verdicts.
 
 use std::sync::Arc;
 
@@ -13,6 +14,7 @@ use unity_core::expr::build::*;
 use unity_core::expr::Expr;
 use unity_core::ident::{VarId, Vocabulary};
 use unity_core::program::Program;
+use unity_core::properties::Property;
 use unity_mc::prelude::*;
 
 const A: VarId = VarId(0);
@@ -194,23 +196,58 @@ proptest! {
         );
     }
 
+    /// Every thread count builds the same transition system, id for id,
+    /// and reaches the same verdicts with the same counterexamples. The
+    /// `with_threads` configs have a zero cutoff, so every parallel path
+    /// runs even on these tiny spaces. One case in five swaps in an
+    /// unsatisfiable init: every build is then empty.
     #[test]
-    fn parallel_and_sequential_checks_agree(prog in arb_program("p"), p in arb_pred()) {
+    fn parallel_and_sequential_checks_agree(
+        prog in arb_program("p"),
+        p in arb_pred(),
+        q in arb_pred(),
+        void in 0u8..5,
+    ) {
+        let mut prog = prog;
+        if void == 0 {
+            prog.init = ff();
+        }
         let seq = ScanConfig {
             par: ParConfig::sequential(),
             ..Default::default()
         };
-        let par = ScanConfig {
-            par: ParConfig::with_threads(4),
-            ..Default::default()
-        };
-        prop_assert_eq!(
-            check_stable(&prog, &p, &seq).is_ok(),
-            check_stable(&prog, &p, &par).is_ok()
-        );
-        prop_assert_eq!(
-            check_transient(&prog, &p, &seq).is_ok(),
-            check_transient(&prog, &p, &par).is_ok()
-        );
+        let props = [
+            Property::Invariant(p.clone()),
+            Property::Stable(p.clone()),
+            Property::Transient(p.clone()),
+            Property::LeadsTo(p.clone(), q.clone()),
+        ];
+        for universe in [Universe::Reachable, Universe::AllStates] {
+            let want_ts = TransitionSystem::build(&prog, universe, &seq).unwrap();
+            prop_assert_eq!(want_ts.is_empty(), void == 0 && universe == Universe::Reachable);
+            let mut base = Verifier::new(&prog, seq.clone()).with_universe(universe);
+            let want: Vec<_> = props.iter().map(|pr| base.verify(pr)).collect();
+            for threads in [2usize, 4, 8] {
+                let par = ScanConfig {
+                    par: ParConfig::with_threads(threads),
+                    ..Default::default()
+                };
+                let ts = TransitionSystem::build(&prog, universe, &par).unwrap();
+                prop_assert_eq!(ts.len(), want_ts.len(), "{} threads", threads);
+                prop_assert_eq!(&ts.init, &want_ts.init, "{} threads", threads);
+                for s in 0..ts.len() {
+                    prop_assert_eq!(ts.succ_row(s), want_ts.succ_row(s), "row {}", s);
+                }
+                let mut session = Verifier::new(&prog, par).with_universe(universe);
+                for (prop, want) in props.iter().zip(&want) {
+                    let got = session.verify(prop);
+                    prop_assert_eq!(
+                        &got.outcome, &want.outcome,
+                        "{:?} at {} threads under {:?}", prop, threads, universe
+                    );
+                    prop_assert_eq!(got.engine, want.engine);
+                }
+            }
+        }
     }
 }

@@ -17,7 +17,7 @@
 use unity_core::expr::compile::PackedLayout;
 use unity_core::ident::Vocabulary;
 
-use crate::bdd::{Bdd, Ref, TRUE};
+use crate::bdd::{Bdd, Ref, FALSE, TRUE};
 
 /// The BDD variable carrying current-state bit `b`.
 #[inline]
@@ -115,16 +115,26 @@ impl SymSpace {
 
     /// The set `field(v) < size(v)` over current bits: type-consistency
     /// of one variable (non-trivial only for non-power-of-two domains).
+    /// Built as a comparator, one step per bit, so its cost does not
+    /// grow with the domain size.
     pub fn field_in_domain(&self, bdd: &mut Bdd, v: usize) -> Ref {
         let size = self.layout.domain_size(v);
+        let shift = self.layout.field_shift(v);
         let bits = self.layout.field_bits(v);
         if size == 1u64 << bits {
             return TRUE;
         }
-        let mut acc = crate::bdd::FALSE;
-        for k in 0..size {
-            let c = self.field_cube(bdd, v, k, false);
-            acc = bdd.or(acc, c);
+        // From the lowest bit up, `acc` is "the bits below i are less
+        // than size's": bit i decides where it differs from size's bit
+        // i and defers to `acc` where it matches.
+        let mut acc = FALSE;
+        for i in 0..bits {
+            let x = bdd.var(cur(shift + i));
+            acc = if size >> i & 1 == 1 {
+                bdd.ite(x, acc, TRUE)
+            } else {
+                bdd.ite(x, FALSE, acc)
+            };
         }
         acc
     }
@@ -219,6 +229,36 @@ mod tests {
         }
         let dom_n = space.field_in_domain(&mut bdd, n);
         assert_eq!(union, dom_n);
+    }
+
+    #[test]
+    fn field_in_domain_matches_the_cube_union_at_every_size() {
+        for hi in 0..40i64 {
+            let mut v = Vocabulary::new();
+            v.declare("x", Domain::int_range(-3, hi - 3).unwrap())
+                .unwrap();
+            let space = SymSpace::new(&v).unwrap();
+            let mut bdd = Bdd::new();
+            let mut union = FALSE;
+            for k in 0..=hi as u64 {
+                let c = space.field_cube(&mut bdd, 0, k, false);
+                union = bdd.or(union, c);
+            }
+            assert_eq!(
+                space.field_in_domain(&mut bdd, 0),
+                union,
+                "{} values",
+                hi + 1
+            );
+        }
+        // A 2^32 + 1 value domain costs 33 comparator steps.
+        let mut v = Vocabulary::new();
+        v.declare("x", Domain::int_range(0, 1 << 32).unwrap())
+            .unwrap();
+        let space = SymSpace::new(&v).unwrap();
+        let mut bdd = Bdd::new();
+        let dom = space.domain(&mut bdd);
+        assert_eq!(bdd.sat_count(dom, &space.all_cur_bits()), (1u128 << 32) + 1);
     }
 
     #[test]

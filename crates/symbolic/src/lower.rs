@@ -103,8 +103,16 @@ pub fn lower(bdd: &mut Bdd, space: &SymSpace, e: &Expr) -> Result<Lowered, Symbo
                 // A boolean variable's single bit *is* the predicate.
                 Lowered::Bool(bdd.var(crate::encode::cur(layout.field_shift(v))))
             } else {
-                let mut classes = Vec::with_capacity(layout.domain_size(v) as usize);
-                for k in 0..layout.domain_size(v) {
+                // Check the width before enumerating: a wide domain
+                // would otherwise allocate or loop over every value.
+                let size = layout.domain_size(v);
+                if size > MAX_VALUES as u64 {
+                    return Err(SymbolicError::ValueExplosion {
+                        count: usize::try_from(size).unwrap_or(usize::MAX),
+                    });
+                }
+                let mut classes = Vec::with_capacity(size as usize);
+                for k in 0..size {
                     let cube = space.field_cube(bdd, v, k, false);
                     classes.push((layout.field_base(v) + k as i64, cube));
                 }
@@ -421,5 +429,33 @@ mod tests {
         // `unchanged`-style lowering of a boolean expression.
         assert_int_agrees(&var(b), &v);
         assert_int_agrees(&ite(var(b), int(7), int(0)), &v);
+    }
+
+    #[test]
+    fn wide_integer_domains_are_rejected_before_enumeration() {
+        // Domains past MAX_VALUES fail fast (the 63-bit one used to
+        // abort with a capacity overflow); MAX_VALUES itself lowers.
+        for (hi, lowers) in [
+            (MAX_VALUES as i64 - 1, true),
+            (MAX_VALUES as i64, false),
+            (1 << 32, false),
+            (i64::MAX, false),
+        ] {
+            let mut v = Vocabulary::new();
+            let x = v.declare("x", Domain::int_range(0, hi).unwrap()).unwrap();
+            let space = SymSpace::new(&v).unwrap();
+            let mut bdd = Bdd::new();
+            let got = lower_pred(&mut bdd, &space, &le(var(x), int(3)));
+            if lowers {
+                assert!(got.is_ok(), "0..={hi}");
+            } else {
+                let count = usize::try_from(hi as u64 + 1).unwrap();
+                assert_eq!(
+                    got,
+                    Err(SymbolicError::ValueExplosion { count }),
+                    "0..={hi}"
+                );
+            }
+        }
     }
 }

@@ -41,18 +41,17 @@
 //! dynamic Rudell sifting when the arena grows — the default). The
 //! explicit engines ignore it.
 //!
-//! `--threads N` sets the worker count for state-space construction and
-//! the parallel sweeps. More than one thread runs the sharded
-//! work-stealing explorer (hash-partitioned frontier, per-shard
-//! mailboxes, quiescence-counter termination); `--threads 1` keeps the
-//! exact sequential reference builder. Both produce the same state set,
-//! init set, and successor relation — only internal state numbering
-//! differs. The default is the machine's available parallelism, or the
-//! `UNITY_BUILD_THREADS` environment variable when set.
+//! `--threads N` sets the worker count for the chunk-parallel paths:
+//! validity and `next` scans, predicate sweeps, the initial-state scan,
+//! the predecessor index and the `--universe all` transition-system
+//! fill. The reachable transition system is always explored by one
+//! thread. Output, counterexamples included, is the same at every
+//! thread count. The default is the machine's available parallelism,
+//! or the `UNITY_BUILD_THREADS` environment variable when set.
 //!
 //! `--stats` prints engine counters after the checks: states visited
-//! and transitions computed for the enumerating engines (plus build
-//! wall time and shard/steal counters); live/peak BDD nodes,
+//! and transitions computed for the enumerating engines (plus the
+//! transition-system build's wall time); live/peak BDD nodes,
 //! apply-cache hit rate, sift passes/swaps and GC activity for the
 //! symbolic engine.
 //!

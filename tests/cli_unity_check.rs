@@ -487,6 +487,42 @@ fn compositional_rejects_flat_only_analyses() {
 }
 
 #[test]
+fn wide_integer_domain_errors_alike_under_every_engine() {
+    // A 63-bit domain packs into one word, so the symbolic engine gets
+    // to lower it; it must fall back instead of enumerating the values,
+    // and report the same space-bound error as the explicit engines.
+    let dir = std::env::temp_dir().join("unity_check_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = dir.join("wide63.unity");
+    std::fs::write(
+        &spec,
+        "program Wide\n  var x : int 0..9223372036854775807\n  init x == 0\n  \
+         fair cmd inc: x < 3 -> x := x + 1\nend\n\
+         spec S\n  bounded: invariant x <= 3\nend\n",
+    )
+    .unwrap();
+    let error_line = |engine: &str| {
+        let out = unity_check(&[spec.to_str().unwrap(), "--engine", engine]);
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        let line = stderr
+            .lines()
+            .find(|l| l.starts_with("error:"))
+            .map(str::to_string);
+        (out.status.code(), line, stderr)
+    };
+    let (code, line, stderr) = error_line("explicit");
+    assert_eq!(code, Some(2), "{stderr}");
+    let line = line.expect("an error line");
+    assert!(line.contains("exceeds limit"), "{line}");
+    for engine in ["reference", "symbolic"] {
+        let (c, l, stderr) = error_line(engine);
+        assert_eq!(c, code, "{engine}: {stderr}");
+        assert_eq!(l.as_deref(), Some(line.as_str()), "{engine}");
+    }
+    std::fs::remove_file(&spec).ok();
+}
+
+#[test]
 fn engine_flag_selects_identical_verdicts() {
     // Every engine must agree check-for-check on the shipped specs —
     // passing and failing alike (the acceptance bar for the symbolic
