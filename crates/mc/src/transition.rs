@@ -832,6 +832,95 @@ mod tests {
         assert!(ts_ref.to_artifact_bytes().is_none());
     }
 
+    /// Reference search over packed words, independent of the builder.
+    fn reference_reachable(program: &Program, cp: &CompiledProgram) -> Vec<u64> {
+        let mut scratch = Scratch::new();
+        let mut seen: std::collections::HashSet<u64> =
+            collect_init_words(program, cp, &ParConfig::sequential())
+                .into_iter()
+                .collect();
+        let mut frontier: Vec<u64> = seen.iter().copied().collect();
+        while let Some(w) = frontier.pop() {
+            for cc in &cp.commands {
+                let nw = cc.step_packed(w, &cp.layout, &mut scratch);
+                if seen.insert(nw) {
+                    frontier.push(nw);
+                }
+            }
+        }
+        let mut out: Vec<u64> = seen.into_iter().collect();
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn reachable_build_matches_reference_bfs() {
+        let mut v = Vocabulary::new();
+        let x = v.declare("x", Domain::int_range(0, 31).unwrap()).unwrap();
+        let y = v.declare("y", Domain::int_range(0, 31).unwrap()).unwrap();
+        let p = Program::builder("grid", Arc::new(v))
+            .init(and2(le(var(x), int(1)), eq(var(y), int(0))))
+            .fair_command("ix", lt(var(x), int(31)), vec![(x, add(var(x), int(1)))])
+            .fair_command("iy", lt(var(y), int(31)), vec![(y, add(var(y), int(1)))])
+            .build()
+            .unwrap();
+        let cp = CompiledProgram::try_compile(&p, &ScanConfig::default()).expect("compilable");
+        let expected = reference_reachable(&p, &cp);
+        let mut expected_init = collect_init_words(&p, &cp, &ParConfig::sequential());
+        expected_init.sort_unstable();
+        for threads in [1usize, 2, 4, 8] {
+            let cfg = ScanConfig {
+                par: ParConfig::with_threads(threads),
+                ..Default::default()
+            };
+            let ts = TransitionSystem::build(&p, Universe::Reachable, &cfg).unwrap();
+            let StateStore::PackedWords { words, .. } = &ts.store else {
+                panic!("compiled reachable build stores packed words");
+            };
+
+            let mut got = words.clone();
+            got.sort_unstable();
+            assert_eq!(got, expected, "state set differs at {threads} threads");
+
+            // Successors agree word for word with the compiled step.
+            let mut scratch = Scratch::new();
+            for (id, &w) in words.iter().enumerate() {
+                for (c, cc) in cp.commands.iter().enumerate() {
+                    let nw = cc.step_packed(w, &cp.layout, &mut scratch);
+                    assert_eq!(words[ts.succ_at(id, c) as usize], nw, "({id}, {c})");
+                }
+            }
+
+            let mut got_init: Vec<u64> = ts.init.iter().map(|&i| words[i as usize]).collect();
+            got_init.sort_unstable();
+            assert_eq!(got_init, expected_init, "init at {threads} threads");
+        }
+    }
+
+    #[test]
+    fn empty_init_is_an_empty_system() {
+        let mut v = Vocabulary::new();
+        let x = v.declare("x", Domain::int_range(0, 7).unwrap()).unwrap();
+        let p = Program::builder("void", Arc::new(v))
+            .init(ff())
+            .fair_command("ix", lt(var(x), int(7)), vec![(x, add(var(x), int(1)))])
+            .build()
+            .unwrap();
+        let cp = CompiledProgram::try_compile(&p, &ScanConfig::default()).expect("compilable");
+        for threads in [1usize, 2, 4, 8] {
+            let par = ParConfig::with_threads(threads);
+            assert!(collect_init_words(&p, &cp, &par).is_empty());
+            let cfg = ScanConfig {
+                par,
+                ..Default::default()
+            };
+            let ts = TransitionSystem::build(&p, Universe::Reachable, &cfg).unwrap();
+            assert!(ts.is_empty(), "{threads} threads");
+            assert!(ts.init.is_empty());
+            assert!(ts.succ.is_empty());
+        }
+    }
+
     #[test]
     fn multi_command_product() {
         let mut v = Vocabulary::new();

@@ -196,26 +196,57 @@ proptest! {
         );
     }
 
-    /// Every thread count builds the same transition system, id for id,
-    /// and reaches the same verdicts with the same counterexamples. The
-    /// `with_threads` configs have a zero cutoff, so every parallel path
-    /// runs even on these tiny spaces. One case in five swaps in an
-    /// unsatisfiable init: every build is then empty.
+    /// The one-shot checkers give the same result, counterexample
+    /// included, whatever the thread count. The `with_threads` configs
+    /// have a zero cutoff, so every parallel scan runs even on these tiny
+    /// spaces.
     #[test]
-    fn parallel_and_sequential_checks_agree(
-        prog in arb_program("p"),
-        p in arb_pred(),
-        q in arb_pred(),
-        void in 0u8..5,
-    ) {
-        let mut prog = prog;
-        if void == 0 {
-            prog.init = ff();
-        }
+    fn parallel_and_sequential_checks_agree(prog in arb_program("p"), p in arb_pred()) {
         let seq = ScanConfig {
             par: ParConfig::sequential(),
             ..Default::default()
         };
+        for threads in [2usize, 4, 8] {
+            let par = ScanConfig {
+                par: ParConfig::with_threads(threads),
+                ..Default::default()
+            };
+            prop_assert_eq!(
+                check_stable(&prog, &p, &par), check_stable(&prog, &p, &seq),
+                "stable at {} threads", threads
+            );
+            prop_assert_eq!(
+                check_transient(&prog, &p, &par), check_transient(&prog, &p, &seq),
+                "transient at {} threads", threads
+            );
+        }
+    }
+
+    /// Every thread count builds the same transition system as the
+    /// sequential build, id for id, in both universes.
+    #[test]
+    fn parallel_build_equals_sequential_build(prog in arb_program("b")) {
+        for universe in [Universe::Reachable, Universe::AllStates] {
+            let want = TransitionSystem::build(&prog, universe, &sequential()).unwrap();
+            for threads in [2usize, 4, 8] {
+                let ts = TransitionSystem::build(&prog, universe, &threaded(threads)).unwrap();
+                prop_assert_eq!(ts.len(), want.len(), "{} threads", threads);
+                prop_assert_eq!(&ts.init, &want.init, "{} threads", threads);
+                for s in 0..ts.len() {
+                    prop_assert_eq!(ts.succ_row(s), want.succ_row(s), "row {}", s);
+                }
+            }
+        }
+    }
+
+    /// A verifier session reaches the same verdicts with the same
+    /// counterexamples at every thread count, in both universes.
+    #[test]
+    fn verdicts_agree_across_thread_counts(
+        prog in arb_program("v"),
+        p in arb_pred(),
+        q in arb_pred(),
+    ) {
         let props = [
             Property::Invariant(p.clone()),
             Property::Stable(p.clone()),
@@ -223,22 +254,10 @@ proptest! {
             Property::LeadsTo(p.clone(), q.clone()),
         ];
         for universe in [Universe::Reachable, Universe::AllStates] {
-            let want_ts = TransitionSystem::build(&prog, universe, &seq).unwrap();
-            prop_assert_eq!(want_ts.is_empty(), void == 0 && universe == Universe::Reachable);
-            let mut base = Verifier::new(&prog, seq.clone()).with_universe(universe);
+            let mut base = Verifier::new(&prog, sequential()).with_universe(universe);
             let want: Vec<_> = props.iter().map(|pr| base.verify(pr)).collect();
             for threads in [2usize, 4, 8] {
-                let par = ScanConfig {
-                    par: ParConfig::with_threads(threads),
-                    ..Default::default()
-                };
-                let ts = TransitionSystem::build(&prog, universe, &par).unwrap();
-                prop_assert_eq!(ts.len(), want_ts.len(), "{} threads", threads);
-                prop_assert_eq!(&ts.init, &want_ts.init, "{} threads", threads);
-                for s in 0..ts.len() {
-                    prop_assert_eq!(ts.succ_row(s), want_ts.succ_row(s), "row {}", s);
-                }
-                let mut session = Verifier::new(&prog, par).with_universe(universe);
+                let mut session = Verifier::new(&prog, threaded(threads)).with_universe(universe);
                 for (prop, want) in props.iter().zip(&want) {
                     let got = session.verify(prop);
                     prop_assert_eq!(
@@ -249,5 +268,42 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// One worker, cutoff at infinity.
+fn sequential() -> ScanConfig {
+    ScanConfig {
+        par: ParConfig::sequential(),
+        ..Default::default()
+    }
+}
+
+/// `threads` workers with a zero cutoff, so every parallel path runs.
+fn threaded(threads: usize) -> ScanConfig {
+    ScanConfig {
+        par: ParConfig::with_threads(threads),
+        ..Default::default()
+    }
+}
+
+/// An unsatisfiable init predicate yields the same empty reachable
+/// system on every path: no states, no init ids, zero transitions.
+#[test]
+fn empty_init_is_empty_everywhere() {
+    let program = Program::builder("void", vocab())
+        .init(ff())
+        .fair_command("inc", lt(var(A), int(2)), vec![(A, add(var(A), int(1)))])
+        .build()
+        .unwrap();
+    let configs = [2usize, 4, 8]
+        .map(threaded)
+        .into_iter()
+        .chain([sequential(), ScanConfig::reference()]);
+    for cfg in configs {
+        let ts = TransitionSystem::build(&program, Universe::Reachable, &cfg).unwrap();
+        assert!(ts.is_empty(), "{cfg:?}");
+        assert!(ts.init.is_empty(), "{cfg:?}");
+        assert_eq!(ts.transition_count(), 0, "{cfg:?}");
     }
 }
