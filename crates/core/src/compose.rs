@@ -8,14 +8,14 @@
 //! one initial state. [`compatible`] implements the paper's `F ⊥ G` check
 //! and [`compose`]/[`System::compose`] build `F ∥ G`.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use crate::error::CoreError;
 use crate::expr::build::and;
-use crate::expr::eval::eval_bool;
-use crate::expr::{vars, BinOp, Expr, NAryOp};
+use crate::expr::Expr;
 use crate::ident::{VarId, Vocabulary};
+use crate::locality::InitGroups;
 use crate::program::Program;
 use crate::state::State;
 
@@ -23,13 +23,14 @@ use crate::state::State;
 /// satisfiable.
 ///
 /// The composed `initially` is the conjunction of the components' (§2),
-/// so the check never walks the whole domain product. It flattens the
-/// conjunction, groups conjuncts that share a variable (transitively),
-/// and walks each group's sub-product with every other variable fixed.
-/// Groups over disjoint variables are satisfiable independently, and a
-/// variable no conjunct mentions is free because domains are non-empty:
-/// the predicate is satisfiable iff every group is. The decision is
-/// exact.
+/// so the check never walks the whole domain product. It runs on the
+/// init groups of [`InitGroups`]: conjuncts that share a variable
+/// (transitively) form a group, and each group's sub-product is walked,
+/// with every other variable fixed, up to its first satisfying
+/// assignment. Groups over disjoint variables are satisfiable
+/// independently, and a variable no conjunct mentions is free because
+/// domains are non-empty: the predicate is satisfiable iff every group
+/// is. The decision is exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InitSatCheck {
     /// Walk every group (exact; exponential in the largest group only).
@@ -124,108 +125,11 @@ pub fn compose(programs: &[Program], init_check: InitSatCheck) -> Result<Program
         InitSatCheck::Skip => None,
     };
     if let Some(limit) = limit {
-        if !init_satisfiable(&vocab, &composed.init, limit) {
+        if !InitGroups::new(&vocab, &composed.init).satisfiable(&vocab, limit) {
             return Err(CoreError::UnsatisfiableInit { programs: names });
         }
     }
     Ok(composed)
-}
-
-/// Appends the conjuncts of `e` to `out`, flattening nested `&&`.
-fn conjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
-    match e {
-        Expr::NAry(NAryOp::And, args) => args.iter().for_each(|a| conjuncts(a, out)),
-        Expr::Bin(BinOp::And, a, b) => {
-            conjuncts(a, out);
-            conjuncts(b, out);
-        }
-        _ => out.push(e),
-    }
-}
-
-/// Union-find root of `v`, halving paths on the way up.
-fn root(parent: &mut [usize], mut v: usize) -> usize {
-    while parent[v] != v {
-        parent[v] = parent[parent[v]];
-        v = parent[v];
-    }
-    v
-}
-
-/// Whether `init` has a satisfying state (see [`InitSatCheck`]): every
-/// group of variable-sharing conjuncts must be satisfiable on its own
-/// sub-product. A group whose sub-product exceeds `limit` states is not
-/// walked and counts as satisfiable.
-fn init_satisfiable(vocab: &Vocabulary, init: &Expr, limit: u64) -> bool {
-    let mut parts = Vec::new();
-    conjuncts(init, &mut parts);
-    let part_vars: Vec<BTreeSet<VarId>> = parts.iter().map(|c| vars::free_vars(c)).collect();
-    let mut parent: Vec<usize> = (0..vocab.len()).collect();
-    for vs in &part_vars {
-        if let Some(first) = vs.first() {
-            let a = root(&mut parent, first.index());
-            for v in vs {
-                let b = root(&mut parent, v.index());
-                parent[b] = a;
-            }
-        }
-    }
-    // Group key: the root of the conjunct's variables; variable-free
-    // conjuncts share one group with an empty (one-state) sub-product.
-    let mut groups: BTreeMap<Option<usize>, (Vec<&Expr>, BTreeSet<VarId>)> = BTreeMap::new();
-    for (c, vs) in parts.iter().zip(&part_vars) {
-        let key = vs.first().map(|v| root(&mut parent, v.index()));
-        let group = groups.entry(key).or_default();
-        group.0.push(c);
-        group.1.extend(vs.iter().copied());
-    }
-    let mut scratch = State::minimum(vocab);
-    groups.values().all(|(group, vs)| {
-        let vs: Vec<VarId> = vs.iter().copied().collect();
-        let size = vs
-            .iter()
-            .try_fold(1u64, |n, &v| n.checked_mul(vocab.domain(v).size()));
-        if size.is_none_or(|n| n > limit) {
-            return true;
-        }
-        group_satisfiable(vocab, &group[..], &vs, &mut scratch)
-    })
-}
-
-/// Walks the sub-product of `vs` (every other variable as `scratch` has
-/// it) for a state satisfying every conjunct of `group`. Leaves `vs` at
-/// their domain minimum again, so `scratch` can serve the next group.
-fn group_satisfiable(
-    vocab: &Vocabulary,
-    group: &[&Expr],
-    vs: &[VarId],
-    scratch: &mut State,
-) -> bool {
-    let mut digits = vec![0u64; vs.len()];
-    loop {
-        if group.iter().all(|c| eval_bool(c, scratch)) {
-            for &v in vs {
-                scratch.set(v, vocab.domain(v).value_at(0));
-            }
-            return true;
-        }
-        // Advance the odometer, last variable fastest.
-        let mut k = vs.len();
-        loop {
-            if k == 0 {
-                return false;
-            }
-            k -= 1;
-            let d = vocab.domain(vs[k]);
-            digits[k] += 1;
-            if digits[k] < d.size() {
-                scratch.set(vs[k], d.value_at(digits[k]));
-                break;
-            }
-            digits[k] = 0;
-            scratch.set(vs[k], d.value_at(0));
-        }
-    }
 }
 
 /// Merges programs built over *different* vocabularies by name-unifying

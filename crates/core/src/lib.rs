@@ -15,6 +15,10 @@
 //! including the two *lifting* rules that turn component-scope judgments
 //! into system-scope judgments.
 //!
+//! [`locality`] records which parts of a program can affect which: the
+//! `initially` predicate's independent groups, whose product is the
+//! initial set, and each command's read and write sets.
+//!
 //! Semantic discharge of base facts (`transient`, `next`, validity, ...) is
 //! delegated to the `unity-mc` model checker through the
 //! [`proof::Discharger`] trait.
@@ -57,6 +61,7 @@ pub mod expr;
 pub mod guarantee;
 pub mod hash;
 pub mod ident;
+pub mod locality;
 pub mod program;
 pub mod proof;
 pub mod properties;

@@ -14,7 +14,8 @@ use crate::error::CoreError;
 use crate::expr::eval::eval_bool;
 use crate::expr::{vars, Expr};
 use crate::ident::{VarId, Vocabulary};
-use crate::state::{State, StateSpaceIter};
+use crate::locality::InitGroups;
+use crate::state::State;
 
 /// A UNITY-style program.
 #[derive(Debug, Clone)]
@@ -84,12 +85,13 @@ impl Program {
     }
 
     /// Enumerates the initial states (all type-consistent states satisfying
-    /// `init`). Exponential in vocabulary size; intended for finite
-    /// instances.
+    /// `init`) in canonical order. Each init group's sub-product is
+    /// walked on its own and the initial set is enumerated as their
+    /// product (see [`crate::locality::InitGroups`]), so the cost follows
+    /// the groups and the number of initial states, not the domain
+    /// product.
     pub fn initial_states(&self) -> Vec<State> {
-        StateSpaceIter::new(&self.vocab)
-            .filter(|s| self.satisfies_init(s))
-            .collect()
+        InitGroups::new(&self.vocab, &self.init).initial_states(&self.vocab)
     }
 
     /// The weakly-fair commands (the paper's set `D`).

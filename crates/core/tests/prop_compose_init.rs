@@ -1,17 +1,21 @@
-//! Differential tests of the composed-`initially` consistency check.
+//! Differential tests of the composed-`initially` consistency check and
+//! of the initial-state enumeration.
 //!
 //! `compose` decides whether the conjunction of the components'
 //! `initially` predicates is satisfiable group by group: conjuncts that
 //! share a variable form one group, and each group's sub-product is
-//! walked with the other variables fixed. The product walk over every
-//! state of the shared vocabulary is the oracle here. The generated
-//! inits nest `&&` both ways (binary and n-ary), include variable-free
-//! conjuncts, share variables across components, and leave some
-//! variables unmentioned.
+//! walked with the other variables fixed. `Program::initial_states`
+//! enumerates the product of the groups' satisfying sets. The product
+//! walk over every state of the shared vocabulary is the oracle for
+//! both. The generated inits (`init_gen`) nest `&&` both ways (binary
+//! and n-ary), include variable-free conjuncts, share variables across
+//! components, and leave some variables unmentioned.
 
-use std::sync::Arc;
+mod init_gen;
 
+use init_gen::{arb_init, components, vocab};
 use proptest::prelude::*;
+use std::sync::Arc;
 use unity_core::compose::{compose, InitSatCheck};
 use unity_core::domain::Domain;
 use unity_core::error::CoreError;
@@ -20,71 +24,7 @@ use unity_core::expr::eval::eval_bool;
 use unity_core::expr::Expr;
 use unity_core::ident::{VarId, Vocabulary};
 use unity_core::program::Program;
-use unity_core::state::StateSpaceIter;
-
-const A: VarId = VarId(0);
-const B: VarId = VarId(1);
-const X: VarId = VarId(2);
-const Y: VarId = VarId(3);
-const Z: VarId = VarId(4);
-
-/// a, b: bool; x: 0..3; y: 0..2; z: -1..1; w: 0..4 (no atom names w,
-/// so it is always unmentioned). 2·2·4·3·3·5 = 720 states.
-fn vocab() -> Arc<Vocabulary> {
-    let mut v = Vocabulary::new();
-    v.declare("a", Domain::Bool).unwrap();
-    v.declare("b", Domain::Bool).unwrap();
-    v.declare("x", Domain::int_range(0, 3).unwrap()).unwrap();
-    v.declare("y", Domain::int_range(0, 2).unwrap()).unwrap();
-    v.declare("z", Domain::int_range(-1, 1).unwrap()).unwrap();
-    v.declare("w", Domain::int_range(0, 4).unwrap()).unwrap();
-    Arc::new(v)
-}
-
-fn arb_atom() -> impl Strategy<Value = Expr> {
-    prop_oneof![
-        Just(var(A)),
-        Just(not(var(B))),
-        (0i64..=3).prop_map(|k| eq(var(X), int(k))),
-        (0i64..=4).prop_map(|k| lt(var(X), int(k))),
-        (0i64..=2).prop_map(|k| ne(var(Y), int(k))),
-        (-1i64..=1).prop_map(|k| eq(var(Z), int(k))),
-        (0i64..=6).prop_map(|k| eq(add(var(X), var(Y)), int(k))),
-        (-1i64..=4).prop_map(|k| le(add(var(Y), var(Z)), int(k))),
-        Just(iff(var(A), var(B))),
-        Just(implies(var(B), eq(var(Z), int(1)))),
-        // Variable-free conjuncts, both truth values.
-        Just(tt()),
-        Just(ff()),
-        (0i64..=2).prop_map(|k| lt(int(k), int(1))),
-    ]
-}
-
-/// A conjunct: an atom, a disjunction (kept whole by the grouping), or a
-/// nested conjunction in either the binary or the n-ary form.
-fn arb_init() -> impl Strategy<Value = Expr> {
-    arb_atom().prop_recursive(3, 12, 3, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| and2(a, b)),
-            prop::collection::vec(inner.clone(), 0..4).prop_map(and),
-            (inner.clone(), inner).prop_map(|(a, b)| or2(a, b)),
-        ]
-    })
-}
-
-fn components(inits: &[Expr]) -> Vec<Program> {
-    let v = vocab();
-    inits
-        .iter()
-        .enumerate()
-        .map(|(k, init)| {
-            Program::builder(format!("C{k}"), v.clone())
-                .init(init.clone())
-                .build()
-                .unwrap()
-        })
-        .collect()
-}
+use unity_core::state::{State, StateSpaceIter};
 
 /// The oracle: walk the whole product for a state every init satisfies.
 fn product_walk(inits: &[Expr]) -> bool {
@@ -113,6 +53,20 @@ proptest! {
             prop_assert!(bounded.is_ok() || !expected, "limit {limit}: {:?}", inits);
         }
         prop_assert!(compose(&programs, InitSatCheck::Skip).is_ok());
+    }
+
+    /// `Program::initial_states` enumerates the product of the init
+    /// groups' sets and the free domains: the same states as filtering
+    /// the whole product, in the same (canonical) order.
+    #[test]
+    fn initial_states_are_the_product_filter_in_order(
+        inits in prop::collection::vec(arb_init(), 1..4),
+    ) {
+        let composed = compose(&components(&inits), InitSatCheck::Skip).unwrap();
+        let expected: Vec<State> = StateSpaceIter::new(&composed.vocab)
+            .filter(|s| composed.satisfies_init(s))
+            .collect();
+        prop_assert_eq!(composed.initial_states(), expected, "inits {:?}", inits);
     }
 }
 

@@ -14,11 +14,11 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use unity_core::command::Command;
 use unity_core::expr::compile::{CompiledCommand, CompiledExpr, PackedLayout, Scratch};
 use unity_core::expr::eval::eval_bool;
 use unity_core::expr::{vars, Expr};
 use unity_core::ident::VarId;
+use unity_core::locality::{InitGroups, Locality};
 use unity_core::program::Program;
 use unity_core::properties::Property;
 
@@ -68,26 +68,14 @@ fn compile_preds(
     Some((layout, preds))
 }
 
-/// The support of a command: variables its guard or right-hand sides read
-/// plus its targets.
-fn command_support(c: &Command, out: &mut BTreeSet<VarId>) {
-    vars::collect(&c.guard, out);
-    for (x, e) in &c.updates {
-        out.insert(*x);
-        vars::collect(e, out);
-    }
-}
-
 /// Support of a program-level check over `exprs`: the expressions'
 /// variables plus every command's support.
-fn program_support(program: &Program, exprs: &[&Expr]) -> BTreeSet<VarId> {
+pub(crate) fn program_support(loc: &Locality, exprs: &[&Expr]) -> BTreeSet<VarId> {
     let mut out = BTreeSet::new();
     for e in exprs {
         vars::collect(e, &mut out);
     }
-    for c in &program.commands {
-        command_support(c, &mut out);
-    }
+    loc.program_support(&mut out);
     out
 }
 
@@ -99,18 +87,69 @@ fn program_support(program: &Program, exprs: &[&Expr]) -> BTreeSet<VarId> {
 /// state refutes depends on that support alone, so a scan over it meets
 /// the full scan's first witness in canonical order (non-support
 /// variables sit at their minimum in both) with the same first command.
-pub(crate) fn next_writers(program: &Program, p: &Expr, q: &Expr) -> (Vec<usize>, BTreeSet<VarId>) {
+pub(crate) fn next_writers(loc: &Locality, p: &Expr, q: &Expr) -> (Vec<usize>, BTreeSet<VarId>) {
     let q_vars = vars::free_vars(q);
-    let mut support = q_vars.clone();
+    let writers = loc.writers_of(&q_vars);
+    let mut support = q_vars;
     vars::collect(p, &mut support);
-    let mut writers = Vec::new();
-    for (k, c) in program.commands.iter().enumerate() {
-        if c.updates.iter().any(|(x, _)| q_vars.contains(x)) {
-            command_support(c, &mut support);
-            writers.push(k);
-        }
+    for &k in &writers {
+        loc.command_support(k, &mut support);
     }
     (writers, support)
+}
+
+/// The support the compiled `init p` scan walks: `p`'s variables plus
+/// the variables of every init group that meets them, and which groups
+/// those are. The initial set is the product of the groups' satisfying
+/// sets and the free domains, and whether a state refutes `init p`
+/// depends only on `p`'s variables. So the product's first refuting
+/// state in canonical order — its lexicographic minimum, taken
+/// componentwise over disjoint variables — has every other group at its
+/// first satisfying assignment and every other free variable at its
+/// minimum, the same argument [`next_writers`] rests on.
+pub(crate) fn init_support(loc: &Locality, p: &Expr) -> (BTreeSet<VarId>, Vec<bool>) {
+    let mut support = vars::free_vars(p);
+    let meets = loc.init.close_over(&mut support);
+    (support, meets)
+}
+
+/// An init group's first satisfying assignment, as the compiled `init`
+/// scan pins a group its property does not mention.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum GroupFirst {
+    /// The first satisfying assignment's packed word (every other
+    /// variable at its minimum).
+    Word(u64),
+    /// The group has no satisfying assignment: there are no initial
+    /// states.
+    Unsatisfiable,
+    /// The group's sub-product (`None`: beyond `u64`) exceeds
+    /// `max_states`, so it was not walked.
+    TooLarge(Option<u64>),
+}
+
+impl GroupFirst {
+    /// Walks group `g`'s sub-product up to its first satisfying
+    /// assignment, packed over `layout`.
+    pub(crate) fn walk(
+        program: &Program,
+        groups: &InitGroups,
+        g: usize,
+        layout: &PackedLayout,
+        cfg: &ScanConfig,
+    ) -> Self {
+        match groups.sub_product(&program.vocab, g) {
+            Some(n) if n <= cfg.max_states => {
+                let first = groups.assignments(&program.vocab, g, true);
+                if first.is_empty() {
+                    GroupFirst::Unsatisfiable
+                } else {
+                    GroupFirst::Word(groups.groups()[g].pack(layout, first.row(0)))
+                }
+            }
+            size => GroupFirst::TooLarge(size),
+        }
+    }
 }
 
 fn refuted(program: &Program, prop: &Property, cex: Counterexample) -> McError {
@@ -141,15 +180,39 @@ pub(crate) fn check_init_in(
             };
         }
     }
-    let mut support = vars::free_vars(&program.init);
-    vars::collect(p, &mut support);
     let vocab = &program.vocab;
     let found = 'found: {
         if let Some((layout, preds)) = compile_preds(program, &[&program.init, p], cfg, cache) {
             let (cinit, cp) = (&preds[0], &preds[1]);
+            let loc = cache.locality(program);
+            let (support, meets) = init_support(&loc, p);
+            let first = cache.init_first(program, &layout, cfg);
+            if first.iter().any(|f| matches!(f, GroupFirst::Unsatisfiable)) {
+                // No initial state: `init p` holds vacuously.
+                break 'found None;
+            }
+            // Every group `p` does not meet sits at its first satisfying
+            // assignment. A full-product scan (projection off) walks
+            // every variable itself.
+            let mut base = 0u64;
+            if cfg.projection {
+                for (f, _) in first.iter().zip(&meets).filter(|(_, &m)| !m) {
+                    match *f {
+                        GroupFirst::Word(w) => base |= w,
+                        GroupFirst::TooLarge(size) => {
+                            return Err(McError::SpaceTooLarge {
+                                size,
+                                limit: cfg.max_states,
+                            })
+                        }
+                        GroupFirst::Unsatisfiable => unreachable!("checked above"),
+                    }
+                }
+            }
             let word = scan_packed(vocab, &layout, Some(&support), cfg, || {
                 let mut scratch = Scratch::new();
                 move |w: u64| {
+                    let w = w | base;
                     (cinit.eval_packed_bool(w, &mut scratch)
                         && !cp.eval_packed_bool(w, &mut scratch))
                     .then_some(w)
@@ -157,6 +220,10 @@ pub(crate) fn check_init_in(
             })?;
             break 'found word.map(|w| decode_witness(&layout, vocab, w));
         }
+        // The reference scan walks `vars(init) ∪ vars(p)`: it is the
+        // semantics the per-group scan above is pinned against.
+        let mut support = vars::free_vars(&program.init);
+        vars::collect(p, &mut support);
         scan_for(vocab, Some(&support), cfg, |s| {
             (program.satisfies_init(s) && !eval_bool(p, s)).then(|| s.clone())
         })?
@@ -201,9 +268,10 @@ pub(crate) fn check_next_in(
     // index — and the counterexample is assembled once, with the
     // post-state replayed on the reference semantics (`witness`).
     let found: Option<(unity_core::state::State, Option<usize>)> = 'found: {
+        let loc = cache.locality(program);
         if let Some((layout, commands, preds)) = compile_for_check(program, &pq, cfg, cache) {
             let (cp, cq) = (&preds[0], preds.last().expect("at least one predicate"));
-            let (writers, support) = next_writers(program, p, q);
+            let (writers, support) = next_writers(&loc, p, q);
             let writers: Vec<(usize, &CompiledCommand)> =
                 writers.into_iter().map(|k| (k, &commands[k])).collect();
             let writers = &writers[..];
@@ -233,7 +301,7 @@ pub(crate) fn check_next_in(
         }
         // The reference scan keeps every command and the full support:
         // it is the semantics the restriction above is pinned against.
-        let support = program_support(program, &[p, q]);
+        let support = program_support(&loc, &[p, q]);
         scan_for(vocab, Some(&support), cfg, |s| {
             if !eval_bool(p, s) {
                 return None;
@@ -370,7 +438,7 @@ pub(crate) fn check_unchanged_in(
             };
         }
     }
-    let support = program_support(program, &[e]);
+    let support = program_support(&cache.locality(program), &[e]);
     let vocab = &program.vocab;
     // Raw witness: pre-state plus offending command index; before/after
     // values are recomputed once by the shared constructor (`witness`).
@@ -449,11 +517,12 @@ pub(crate) fn check_transient_in(
         let cp = CompiledExpr::compile(p, &layout).ok()?;
         Some((layout, cp))
     });
+    let loc = cache.locality(program);
     let mut witnesses = Vec::new();
     for (idx, cmd) in program.fair_commands() {
         // Per-command support: p's variables plus this command's.
         let mut support = vars::free_vars(p);
-        command_support(cmd, &mut support);
+        loc.command_support(idx, &mut support);
         let stuck = 'stuck: {
             if let Some((layout, cp)) = &compiled {
                 let ccmd = match &cached_commands {

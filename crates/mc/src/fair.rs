@@ -141,7 +141,7 @@ pub(crate) fn check_leadsto_outcome_in(
         // for the differential suites.
         return Ok(reference_outcome(&ts, program, p, q));
     }
-    let pred = cache.pred_index(&ts, universe, &cfg.par);
+    let pred = cache.pred_index(&ts, universe);
     Ok(check_leadsto_worklist(
         &ts,
         &pred,
@@ -189,11 +189,11 @@ impl<'ts> LeadsToEngine<'ts> {
     }
 
     /// Builds the engine with explicit sweep parallelism (the
-    /// predecessor inversion itself runs under the same configuration).
+    /// predecessor inversion always runs on one thread).
     pub fn with_par(ts: &'ts TransitionSystem, par: ParConfig) -> Self {
         LeadsToEngine {
             ts,
-            pred: PredIndex::build_with(ts, &par),
+            pred: PredIndex::build(ts),
             scratch: LivenessScratch::default(),
             par,
         }

@@ -17,12 +17,16 @@
 //!   check scales with the `¬q` region, not the whole table.
 //! * Scans are chunk-parallel over the flat state index
 //!   ([`parallel`]), using `crossbeam` scoped threads with atomic early
-//!   exit that still reports the lowest witness. So are the full-product
-//!   transition-system fill, the initial-state scan and the predecessor
-//!   index. The reachable transition system has one builder, a
-//!   sequential packed search ([`transition::TransitionSystem::build`]),
-//!   so state numbering and counterexamples do not depend on
-//!   `ParConfig::threads`.
+//!   exit that still reports the lowest witness. So is the full-product
+//!   transition-system fill. The reachable transition system has one
+//!   builder, a sequential packed search
+//!   ([`transition::TransitionSystem::build`]) seeded from the init
+//!   groups of `unity_core::locality`, and the predecessor index is
+//!   inverted on one thread, so state numbering and counterexamples do
+//!   not depend on `ParConfig::threads`.
+//! * Scans walk only the variables that can matter: `init p` the
+//!   variables of `p` and of the init groups it meets, `next`-shaped
+//!   checks the writers of `q` ([`check`]).
 //! * Under [`space::Engine::Symbolic`] the safety checks route through
 //!   `unity-symbolic` ([`symbolic`]): state sets as BDDs over the packed
 //!   bit layout, with identical verdicts and replayable counterexamples

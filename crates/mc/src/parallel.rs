@@ -2,9 +2,12 @@
 //!
 //! Validity scans, `next` checks and the like are embarrassingly parallel
 //! over the state index; we split the range into chunks across scoped
-//! `crossbeam` threads with an atomic early-exit bound, and keep the
-//! sequential path allocation-light for small spaces (threads cost more
-//! than they save below ~2¹⁴ states).
+//! `crossbeam` threads with an atomic early-exit bound. Ranges shorter
+//! than [`ParConfig::sequential_cutoff`] run on the calling thread; the
+//! default cutoff of 2¹⁴ items is a fixed setting, not a measured
+//! crossover. A path keeps its threads only where it wins its own
+//! measurement: the reachable build, its initial-state enumeration and
+//! the predecessor index run on one thread at every thread count.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -19,17 +19,11 @@
 //! appears once per command stepping onto the target (duplicates are
 //! harmless to the marking walks and cheaper than a per-row dedup).
 //!
-//! [`PredIndex::build_with`] inverts large tables in parallel —
-//! per-target atomic counting over source ranges, a sequential prefix
-//! sum, atomic-cursor scatter, then a segment-parallel per-row sort
-//! that restores the ascending contract — and produces output equal to
-//! the sequential build, element for element.
+//! The inversion is two sequential passes (count, then fill with a
+//! cursor per row), whatever the thread count: rows come out ascending
+//! without a sort.
 
-use std::sync::atomic::{AtomicU32, Ordering};
-
-use parking_lot::Mutex;
-
-use crate::parallel::{par_find_ranges, ParConfig};
+use crate::parallel::ParConfig;
 use crate::transition::TransitionSystem;
 
 /// A CSR predecessor index: `row(v)` lists the source states of every
@@ -46,94 +40,8 @@ impl PredIndex {
     /// Inverts the successor table of `ts`. Cost: two passes over the
     /// transitions, no hashing.
     pub fn build(ts: &TransitionSystem) -> Self {
-        Self::build_sequential(ts)
-    }
-
-    /// [`PredIndex::build`] with explicit parallelism: counting,
-    /// scatter, and the row-restoring sort all run over ranges of the
-    /// flat tables. The result equals the sequential build element for
-    /// element (same offsets, same ascending rows), so callers may mix
-    /// the two freely.
-    pub fn build_with(ts: &TransitionSystem, par: &ParConfig) -> Self {
         let n = ts.len();
         let m = ts.transition_count();
-        if par.threads <= 1 || (m as u64) < par.sequential_cutoff {
-            return Self::build_sequential(ts);
-        }
-        Self::check_bound(m);
-        // Per-target in-degrees, counted over source ranges.
-        let counts: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        par_find_ranges(n as u64, par, |lo, hi| {
-            for s in lo..hi {
-                for &w in ts.succ_row(s as usize) {
-                    counts[w as usize].fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            None::<()>
-        });
-        let mut offsets = vec![0u32; n + 1];
-        for i in 0..n {
-            offsets[i + 1] = offsets[i] + counts[i].load(Ordering::Relaxed);
-        }
-        // Scatter sources through atomic row cursors. Rows come out in
-        // nondeterministic order; the sort below restores the ascending
-        // contract. (`forbid(unsafe_code)` rules out plain &mut
-        // scatter, so the edges start life atomic and convert after.)
-        let cursors: Vec<AtomicU32> = offsets[..n].iter().map(|&o| AtomicU32::new(o)).collect();
-        let staged: Vec<AtomicU32> = (0..m).map(|_| AtomicU32::new(0)).collect();
-        par_find_ranges(n as u64, par, |lo, hi| {
-            for s in lo..hi {
-                for &w in ts.succ_row(s as usize) {
-                    let at = cursors[w as usize].fetch_add(1, Ordering::Relaxed);
-                    staged[at as usize].store(s as u32, Ordering::Relaxed);
-                }
-            }
-            None::<()>
-        });
-        let mut edges: Vec<u32> = staged.into_iter().map(AtomicU32::into_inner).collect();
-        // Segment-parallel per-row sort over row-aligned windows.
-        let mut segments: Vec<(usize, &mut [u32])> = Vec::new();
-        let goal = (m / (par.threads * 4)).max(1);
-        let mut rest: &mut [u32] = &mut edges;
-        let mut start_edge = 0usize;
-        let mut v = 0usize;
-        while v < n {
-            let mut end_v = v + 1;
-            while end_v < n && (offsets[end_v] as usize - start_edge) < goal {
-                end_v += 1;
-            }
-            let end_edge = offsets[end_v] as usize;
-            let (seg, tail) = rest.split_at_mut(end_edge - start_edge);
-            segments.push((v, seg));
-            rest = tail;
-            start_edge = end_edge;
-            v = end_v;
-        }
-        let jobs: Mutex<Vec<(usize, &mut [u32])>> = Mutex::new(segments);
-        crossbeam::scope(|scope| {
-            for _ in 0..par.threads {
-                let jobs = &jobs;
-                let offsets = &offsets;
-                scope.spawn(move |_| loop {
-                    let job = jobs.lock().pop();
-                    let Some((v0, seg)) = job else { return };
-                    let base = offsets[v0] as usize;
-                    let mut t = v0;
-                    let mut lo = 0usize;
-                    while lo < seg.len() {
-                        let hi = offsets[t + 1] as usize - base;
-                        seg[lo..hi].sort_unstable();
-                        lo = hi;
-                        t += 1;
-                    }
-                });
-            }
-        })
-        .expect("predecessor sort worker panicked");
-        PredIndex { offsets, edges }
-    }
-
-    fn check_bound(m: usize) {
         // Hard bound, not a debug assert: a wrapped u32 offset would
         // corrupt rows silently and could flip a liveness verdict.
         // (At the default `max_states` this needs ≥ 64 commands; the
@@ -142,12 +50,6 @@ impl PredIndex {
             m <= u32::MAX as usize,
             "transition table ({m} edges) exceeds u32 predecessor offsets"
         );
-    }
-
-    fn build_sequential(ts: &TransitionSystem) -> Self {
-        let n = ts.len();
-        let m = ts.transition_count();
-        Self::check_bound(m);
         // Count in-degrees into offsets[1..], then prefix-sum.
         let mut offsets = vec![0u32; n + 1];
         for s in 0..n {
@@ -169,6 +71,14 @@ impl PredIndex {
             }
         }
         PredIndex { offsets, edges }
+    }
+
+    /// [`PredIndex::build`]; `_par` is ignored. The inversion always
+    /// runs on one thread: on a 2-core host the atomic parallel
+    /// inversion this replaced was 2–6× slower than one thread at every
+    /// size measured, from 222,796 to 20,971,520 edges.
+    pub fn build_with(ts: &TransitionSystem, _par: &ParConfig) -> Self {
+        Self::build(ts)
     }
 
     /// Number of states the index covers.
@@ -287,7 +197,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_equals_sequential_element_for_element() {
+    fn build_with_equals_build_at_every_thread_count() {
         // Multi-command grid: rows with duplicates, skew, and empty
         // rows (unreachable in-degrees on the full product).
         let mut v = Vocabulary::new();
@@ -303,7 +213,7 @@ mod tests {
         for universe in [Universe::Reachable, Universe::AllStates] {
             let ts = TransitionSystem::build(&p, universe, &ScanConfig::default()).unwrap();
             let seq = PredIndex::build(&ts);
-            for threads in [2usize, 4, 8] {
+            for threads in [1usize, 2, 4, 8] {
                 let par =
                     PredIndex::build_with(&ts, &crate::parallel::ParConfig::with_threads(threads));
                 assert_eq!(par.offsets, seq.offsets, "{universe:?} @ {threads}");

@@ -193,7 +193,7 @@ pub fn synthesize_leadsto_in(
     // the session's own (shared with the `leadsto` checker).
     let ts = session.transition_system(Universe::Reachable)?;
     let par = session.cfg().par.clone();
-    let pred = session.cache.pred_index(&ts, Universe::Reachable, &par);
+    let pred = session.cache.pred_index(&ts, Universe::Reachable);
     synthesize_on(&ts, &pred, session.program(), p, q, cfg, &par)
 }
 

@@ -12,12 +12,13 @@ use unity_core::expr::compile::{CompiledExpr, PackedLayout, Scratch};
 use unity_core::expr::eval::eval_bool;
 use unity_core::expr::Expr;
 use unity_core::ident::Vocabulary;
+use unity_core::locality::{packed_weights, InitGroups};
 use unity_core::program::Program;
 use unity_core::state::{State, StateSpaceIter};
 
 use crate::compiled::CompiledProgram;
 use crate::hasher::FxHashMap;
-use crate::parallel::{par_chunks, par_find_ranges, ParConfig, RANGE_CHUNK};
+use crate::parallel::{par_chunks, ParConfig, RANGE_CHUNK};
 use crate::space::ScanConfig;
 use crate::stats::BuildStats;
 use crate::trace::McError;
@@ -76,46 +77,30 @@ pub struct TransitionSystem {
     build: BuildStats,
 }
 
-/// Collects the packed words satisfying the compiled init predicate, in
-/// canonical (ascending flat id) order, scanning the full domain
-/// product chunk-parallel. Sequential configurations degrade to exactly
-/// one single-cursor sweep.
-fn collect_init_words(program: &Program, cp: &CompiledProgram, par: &ParConfig) -> Vec<u64> {
-    let layout = &cp.layout;
-    let Some(total) = program.vocab.space_size() else {
-        return Vec::new();
-    };
-    let all_vars: Vec<_> = program.vocab.ids().collect();
-    let chunks: parking_lot::Mutex<Vec<(u64, Vec<u64>)>> = parking_lot::Mutex::new(Vec::new());
-    let witness = par_find_ranges(total, par, |lo, hi| {
-        let mut scratch = Scratch::new();
-        let mut cursor = layout
-            .support_cursor(&all_vars, lo)
-            .expect("space_size checked by caller");
-        let mut found = Vec::new();
-        for _ in lo..hi {
-            let w = cursor.word();
-            if cp.init.eval_packed_bool(w, &mut scratch) {
-                found.push(w);
-            }
-            cursor.advance(layout);
-        }
-        if !found.is_empty() {
-            chunks.lock().push((lo, found));
-        }
-        None::<()>
-    });
-    debug_assert!(witness.is_none(), "total sweep never early-exits");
-    let mut chunks = chunks.into_inner();
-    chunks.sort_unstable_by_key(|&(lo, _)| lo);
-    chunks.into_iter().flat_map(|(_, ws)| ws).collect()
+/// The packed words of the initial states, in canonical (ascending flat
+/// id) order: the product of the init groups' satisfying sets, each
+/// walked over its own sub-product, and the free variables' domains
+/// ([`InitGroups::for_each_initial`]). The domain product is never
+/// walked.
+fn collect_init_words(program: &Program, cp: &CompiledProgram) -> Vec<u64> {
+    let groups = InitGroups::new(&program.vocab, &program.init);
+    let sets = groups.all_assignments(&program.vocab);
+    let weights = packed_weights(&cp.layout);
+    // At most the domain product, which the caller bounded.
+    let mut words = Vec::with_capacity(
+        groups
+            .count(&program.vocab, &sets)
+            .map_or(0, |n| n as usize),
+    );
+    groups.for_each_initial(&program.vocab, &sets, &weights, |w, _| words.push(w));
+    words
 }
 
 impl TransitionSystem {
     /// Builds the transition system of `program` over the chosen universe.
     ///
     /// The reachable universe is explored sequentially whatever
-    /// `cfg.par` says; only its initial-state scan is chunk-parallel.
+    /// `cfg.par` says, from initial states enumerated per init group.
     /// With `cfg.par.threads > 1` the full-product compiled path fills
     /// rows chunk-parallel. Every thread count yields the same system,
     /// id for id. The wall-clock cost is stamped into
@@ -133,7 +118,7 @@ impl TransitionSystem {
     fn build_reachable(program: &Program, cfg: &ScanConfig) -> Result<Self, McError> {
         crate::space::space_size(&program.vocab, cfg)?;
         if let Some(cp) = CompiledProgram::try_compile(program, cfg) {
-            return Ok(Self::build_reachable_packed(program, cp, cfg));
+            return Ok(Self::build_reachable_packed(program, cp));
         }
         let n_commands = program.commands.len();
         let mut index: FxHashMap<State, u32> = FxHashMap::default();
@@ -195,7 +180,7 @@ impl TransitionSystem {
     /// an integer-keyed table (no per-probe hashing of value slices) and
     /// successors come from compiled command steps. Explicit [`State`]s
     /// are only materialized once per interned state, at the end.
-    fn build_reachable_packed(program: &Program, cp: CompiledProgram, cfg: &ScanConfig) -> Self {
+    fn build_reachable_packed(program: &Program, cp: CompiledProgram) -> Self {
         let n_commands = program.commands.len();
         let layout = &cp.layout;
         let mut index: FxHashMap<u64, u32> = FxHashMap::default();
@@ -215,12 +200,10 @@ impl TransitionSystem {
             })
         };
 
-        // Initial states: scan the full packed space with the compiled
-        // init predicate, chunk-parallel when configured (the collected
-        // words come back in canonical order, so the interned ids are
-        // identical to the old single-cursor sweep).
+        // Initial states in canonical order, so they intern as ids
+        // 0, 1, … in that order.
         let mut init = Vec::new();
-        for w in collect_init_words(program, &cp, &cfg.par) {
+        for w in collect_init_words(program, &cp) {
             init.push(intern(w, &mut words, &mut index, &mut frontier));
         }
         init.sort_unstable();
@@ -832,13 +815,28 @@ mod tests {
         assert!(ts_ref.to_artifact_bytes().is_none());
     }
 
+    /// The initial words by a scan of the whole domain product with the
+    /// compiled init predicate, in canonical order: the oracle for the
+    /// per-group seeding.
+    fn product_scan_init_words(program: &Program, cp: &CompiledProgram) -> Vec<u64> {
+        let all: Vec<_> = program.vocab.ids().collect();
+        let mut cursor = cp.layout.support_cursor(&all, 0).expect("small space");
+        let mut scratch = Scratch::new();
+        let mut out = Vec::new();
+        for _ in 0..cursor.size() {
+            if cp.init.eval_packed_bool(cursor.word(), &mut scratch) {
+                out.push(cursor.word());
+            }
+            cursor.advance(&cp.layout);
+        }
+        out
+    }
+
     /// Reference search over packed words, independent of the builder.
     fn reference_reachable(program: &Program, cp: &CompiledProgram) -> Vec<u64> {
         let mut scratch = Scratch::new();
         let mut seen: std::collections::HashSet<u64> =
-            collect_init_words(program, cp, &ParConfig::sequential())
-                .into_iter()
-                .collect();
+            product_scan_init_words(program, cp).into_iter().collect();
         let mut frontier: Vec<u64> = seen.iter().copied().collect();
         while let Some(w) = frontier.pop() {
             for cc in &cp.commands {
@@ -866,7 +864,7 @@ mod tests {
             .unwrap();
         let cp = CompiledProgram::try_compile(&p, &ScanConfig::default()).expect("compilable");
         let expected = reference_reachable(&p, &cp);
-        let mut expected_init = collect_init_words(&p, &cp, &ParConfig::sequential());
+        let mut expected_init = product_scan_init_words(&p, &cp);
         expected_init.sort_unstable();
         for threads in [1usize, 2, 4, 8] {
             let cfg = ScanConfig {
@@ -907,11 +905,10 @@ mod tests {
             .build()
             .unwrap();
         let cp = CompiledProgram::try_compile(&p, &ScanConfig::default()).expect("compilable");
+        assert!(collect_init_words(&p, &cp).is_empty());
         for threads in [1usize, 2, 4, 8] {
-            let par = ParConfig::with_threads(threads);
-            assert!(collect_init_words(&p, &cp, &par).is_empty());
             let cfg = ScanConfig {
-                par,
+                par: ParConfig::with_threads(threads),
                 ..Default::default()
             };
             let ts = TransitionSystem::build(&p, Universe::Reachable, &cfg).unwrap();

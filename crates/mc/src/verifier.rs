@@ -41,6 +41,7 @@ use std::time::{Duration, Instant};
 
 use unity_core::expr::compile::{CompiledCommand, PackedLayout};
 use unity_core::expr::Expr;
+use unity_core::locality::Locality;
 use unity_core::program::Program;
 use unity_core::properties::Property;
 use unity_symbolic::{OrderMode, SymStats, SymbolicProgram};
@@ -83,6 +84,12 @@ pub(crate) struct EngineCache {
     /// CSR predecessor index per universe, inverted once from the
     /// memoized transition system (the `leadsto` worklist walks it).
     pred: [Option<Arc<crate::pred::PredIndex>>; 2],
+    /// The program's locality analysis: init groups and per-command
+    /// read/write sets.
+    locality: Option<Arc<Locality>>,
+    /// Each init group's first satisfying assignment, packed over
+    /// `layout` (see [`crate::check::GroupFirst`]).
+    init_first: Option<Arc<Vec<crate::check::GroupFirst>>>,
     /// Pooled buffers for the worklist liveness engine (Tarjan scratch,
     /// trap/danger marks, worklist) — reused across `leadsto` checks.
     pub(crate) liveness: crate::fair::LivenessScratch,
@@ -126,6 +133,32 @@ impl EngineCache {
         Some((layout, commands))
     }
 
+    /// The locality analysis of `program`, built on first use.
+    pub(crate) fn locality(&mut self, program: &Program) -> Arc<Locality> {
+        self.locality
+            .get_or_insert_with(|| Arc::new(Locality::new(program)))
+            .clone()
+    }
+
+    /// Each init group's first satisfying assignment as a packed word
+    /// over `layout`, walked once per session. A group whose sub-product
+    /// exceeds `cfg.max_states` is not walked.
+    pub(crate) fn init_first(
+        &mut self,
+        program: &Program,
+        layout: &PackedLayout,
+        cfg: &ScanConfig,
+    ) -> Arc<Vec<crate::check::GroupFirst>> {
+        if let Some(first) = &self.init_first {
+            return first.clone();
+        }
+        let groups = &self.locality(program).init;
+        let first: Vec<_> = (0..groups.groups().len())
+            .map(|g| crate::check::GroupFirst::walk(program, groups, g, layout, cfg))
+            .collect();
+        self.init_first.insert(Arc::new(first)).clone()
+    }
+
     /// The symbolic engine, built on first use; `None` when the program
     /// cannot be lowered (callers fall back to the explicit engines).
     pub(crate) fn symbolic(
@@ -162,19 +195,17 @@ impl EngineCache {
     }
 
     /// The CSR predecessor index of `ts` over `universe`, inverted on
-    /// first use (in parallel when `par` allows) and memoized alongside
-    /// the transition system.
+    /// first use and memoized alongside the transition system.
     pub(crate) fn pred_index(
         &mut self,
         ts: &TransitionSystem,
         universe: Universe,
-        par: &crate::parallel::ParConfig,
     ) -> Arc<crate::pred::PredIndex> {
         let slot = match universe {
             Universe::Reachable => &mut self.pred[0],
             Universe::AllStates => &mut self.pred[1],
         };
-        slot.get_or_insert_with(|| Arc::new(crate::pred::PredIndex::build_with(ts, par)))
+        slot.get_or_insert_with(|| Arc::new(crate::pred::PredIndex::build(ts)))
             .clone()
     }
 
@@ -586,9 +617,12 @@ impl<'p> Verifier<'p> {
                         _ => VerdictStats::Unmeasured,
                     }
                 } else {
-                    // Compiled `next` scans step only the writers of q.
-                    let writers_only = self.cache.status().1;
-                    match scan_domain(self.program, prop, &self.cfg, writers_only) {
+                    // The compiled `init` scan runs once the layout
+                    // exists, the compiled `next` scans once the
+                    // commands compiled.
+                    let (layout, commands, ..) = self.cache.status();
+                    let loc = self.cache.locality(self.program);
+                    match scan_domain(self.program, &loc, prop, &self.cfg, (layout, commands)) {
                         Some(states) => VerdictStats::Explicit {
                             states,
                             transitions: 0,
@@ -729,57 +763,50 @@ impl<'p> Verifier<'p> {
 
 /// The number of states the dominant explicit scan of `prop` quantifies
 /// over: the projection of the space onto the property's support (the
-/// full product when projection is off). `writers_only` says the
-/// `next`-shaped scans ran compiled, over the writers of `q` alone
-/// ([`crate::check::next_writers`]). `None` when the size overflows or
-/// the property has no scan (informational only).
+/// full product when projection is off). The supports come from the
+/// functions the checks scan with. `compiled` says which compiled scans
+/// ran (`(init, next)`): the `init` scan over the init groups that meet
+/// `p` ([`crate::check::init_support`]), the `next`-shaped scans over
+/// the writers of `q` alone ([`crate::check::next_writers`]). `None`
+/// when the size overflows or the property has no scan
+/// (informational only).
 fn scan_domain(
     program: &Program,
+    loc: &Locality,
     prop: &Property,
     cfg: &ScanConfig,
-    writers_only: bool,
+    compiled: (bool, bool),
 ) -> Option<u64> {
+    use crate::check::{init_support, next_writers, program_support};
     use unity_core::expr::vars;
-    let mut support = std::collections::BTreeSet::new();
-    let program_wide = |support: &mut std::collections::BTreeSet<unity_core::ident::VarId>| {
-        for c in &program.commands {
-            vars::collect(&c.guard, support);
-            for (x, e) in &c.updates {
-                support.insert(*x);
-                vars::collect(e, support);
-            }
-        }
-    };
-    let next = |p: &Expr, q: &Expr, support: &mut std::collections::BTreeSet<_>| {
-        if writers_only {
-            support.extend(crate::check::next_writers(program, p, q).1);
+    let init = |p: &Expr| {
+        if compiled.0 {
+            init_support(loc, p).0
         } else {
-            vars::collect(p, support);
-            vars::collect(q, support);
-            program_wide(support);
+            let mut support = vars::free_vars(&program.init);
+            vars::collect(p, &mut support);
+            support
         }
     };
-    match prop {
-        Property::Init(p) => {
-            vars::collect(&program.init, &mut support);
-            vars::collect(p, &mut support);
+    let next = |p: &Expr, q: &Expr| {
+        if compiled.1 {
+            next_writers(loc, p, q).1
+        } else {
+            program_support(loc, &[p, q])
         }
-        Property::Next(p, q) => next(p, q, &mut support),
-        Property::Stable(p) => next(p, p, &mut support),
-        Property::Transient(p) => {
-            vars::collect(p, &mut support);
-            program_wide(&mut support);
-        }
+    };
+    let support = match prop {
+        Property::Init(p) => init(p),
+        Property::Next(p, q) => next(p, q),
+        Property::Stable(p) => next(p, p),
+        Property::Transient(p) | Property::Unchanged(p) => program_support(loc, &[p]),
         Property::Invariant(p) => {
-            vars::collect(&program.init, &mut support);
-            next(p, p, &mut support);
-        }
-        Property::Unchanged(e) => {
-            vars::collect(e, &mut support);
-            program_wide(&mut support);
+            let mut support = init(p);
+            support.extend(next(p, p));
+            support
         }
         Property::LeadsTo(..) => return None,
-    }
+    };
     if cfg.projection && (support.len() as u64) < program.vocab.len() as u64 {
         let mut size: u64 = 1;
         for &v in &support {

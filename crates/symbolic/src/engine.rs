@@ -363,6 +363,12 @@ impl SymbolicProgram {
         report
     }
 
+    /// The memoized reachability fixpoint, if [`SymbolicProgram::reachable`]
+    /// has run; never computes it.
+    pub fn computed_reachable(&self) -> Option<&ReachReport> {
+        self.reach.as_ref()
+    }
+
     /// Lowers a predicate over the current-state bits (for callers
     /// composing their own set algebra on top of the engine). The
     /// result is pinned across collections until

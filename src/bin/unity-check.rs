@@ -42,18 +42,21 @@
 //! explicit engines ignore it.
 //!
 //! `--threads N` sets the worker count for the chunk-parallel paths:
-//! validity and `next` scans, predicate sweeps, the initial-state scan,
-//! the predecessor index and the `--universe all` transition-system
-//! fill. The reachable transition system is always explored by one
-//! thread. Output, counterexamples included, is the same at every
-//! thread count. The default is the machine's available parallelism,
-//! or the `UNITY_BUILD_THREADS` environment variable when set.
+//! validity and safety scans, predicate sweeps and the `--universe all`
+//! transition-system fill. The reachable transition system is always
+//! explored by one thread, from initial states enumerated per init
+//! group, and the predecessor index is always inverted by one thread.
+//! Output, counterexamples included, is the same at every thread count.
+//! The default is the machine's available parallelism, or the
+//! `UNITY_BUILD_THREADS` environment variable when set.
 //!
-//! `--stats` prints engine counters after the checks: states visited
-//! and transitions computed for the enumerating engines (plus the
-//! transition-system build's wall time); live/peak BDD nodes,
-//! apply-cache hit rate, sift passes/swaps and GC activity for the
-//! symbolic engine.
+//! `--stats` prints engine counters after the checks, for the work the
+//! checks did and never more: the states and transitions of the
+//! transition system plus its build's wall time when a check built
+//! one, otherwise the states the safety scans counted; live/peak BDD
+//! nodes, apply-cache hit rate, sift passes/swaps and GC activity for
+//! the symbolic engine, with the reachable set only when a check
+//! computed it. Adding `--stats` never changes what a run computes.
 //!
 //! `--compositional` verifies assume-guarantee style instead of on the
 //! flat product: each obligation discharges in component state spaces
@@ -605,37 +608,44 @@ fn run_compositional(
 }
 
 /// `--stats`: print engine counters for the file's composed program
-/// (informational). The symbolic engine reports arena/reorder/cache
-/// activity from the session's (memoized) reachability fixpoint; the
-/// enumerating engines report the session's transition-system size
-/// plus, when the spec has `leadsto` checks, the worklist liveness
-/// engine's traversal counters aggregated across them.
+/// (informational). It reports only work the checks did and never
+/// starts more: the transition system's size and build time when a
+/// check built it, otherwise the states the safety scans counted; the
+/// symbolic engine's arena/reorder/cache counters, with the reachable
+/// set only when a check computed it; and, when the spec has `leadsto`
+/// checks, the worklist liveness engine's traversal counters
+/// aggregated across them.
 fn stats_report(
     opts: &Options,
     session: &mut Verifier<'_>,
     checks: &[NamedCheck],
     report: &Report,
 ) {
-    // Aggregate the liveness traversal counters over every leadsto
-    // check — keyed on the property kind (refuted checks carry their
-    // counters too), not on any counter being nonzero.
+    // Aggregate the counters per property kind — keyed on the kind
+    // (refuted checks carry their counters too), not on any counter
+    // being nonzero.
     let mut leadsto_checks = 0u64;
     let (mut scanned, mut edges, mut pushes) = (0u64, 0u64, 0u64);
+    let (mut safety_checks, mut safety_states) = (0u64, 0u64);
     for (named, c) in checks.iter().zip(&report.checks) {
-        if !matches!(named.property, Property::LeadsTo(..)) {
-            continue;
-        }
-        if let VerdictStats::Explicit {
+        let VerdictStats::Explicit {
+            states,
             scanned_states,
             pred_edges,
             worklist_pushes,
             ..
         } = &c.verdict.stats
-        {
+        else {
+            continue;
+        };
+        if matches!(named.property, Property::LeadsTo(..)) {
             leadsto_checks += 1;
             scanned += scanned_states;
             edges += pred_edges;
             pushes += worklist_pushes;
+        } else {
+            safety_checks += 1;
+            safety_states += states;
         }
     }
     if leadsto_checks > 0 {
@@ -644,32 +654,54 @@ fn stats_report(
              {edges} predecessor edge(s) walked, {pushes} worklist push(es)"
         );
     }
+    let status = session.status();
     match opts.engine {
-        Engine::Symbolic => match session.symbolic() {
+        // Only an engine a check built is asked for its counters:
+        // `symbolic()` would build one.
+        Engine::Symbolic => match status.symbolic.then(|| session.symbolic()).flatten() {
             Some(sym) => {
-                let reach = sym.reachable();
+                let reach = sym
+                    .computed_reachable()
+                    .map(|r| {
+                        format!(
+                            "{} reachable state(s) in {} iteration(s); ",
+                            r.count, r.iterations
+                        )
+                    })
+                    .unwrap_or_default();
                 println!(
-                    "STATS symbolic: {} reachable state(s) in {} iteration(s); order {:?}; {}",
-                    reach.count,
-                    reach.iterations,
+                    "STATS symbolic: {reach}order {:?}; {}",
                     opts.order,
                     sym.stats()
                 );
             }
-            None => println!("STATS symbolic: not applicable (cannot lower); explicit fallback"),
+            None => println!("STATS symbolic: no check was decided symbolically"),
         },
-        Engine::Compiled | Engine::Reference => match session.transition_system(opts.universe) {
-            Ok(ts) => {
+        Engine::Compiled | Engine::Reference => {
+            let built = match opts.universe {
+                Universe::Reachable => status.ts_reachable,
+                Universe::AllStates => status.ts_all_states,
+            };
+            if !built {
                 println!(
-                    "STATS explicit: {} state(s) visited, {} transition(s) computed ({:?} universe)",
-                    ts.len(),
-                    ts.transition_count(),
-                    opts.universe
+                    "STATS explicit: {safety_states} state(s) scanned by {safety_checks} \
+                     safety check(s); no transition system built"
                 );
-                println!("STATS build: {}", ts.build_stats());
+                return;
             }
-            Err(e) => println!("STATS explicit: {e}"),
-        },
+            match session.transition_system(opts.universe) {
+                Ok(ts) => {
+                    println!(
+                        "STATS explicit: {} state(s) visited, {} transition(s) computed ({:?} universe)",
+                        ts.len(),
+                        ts.transition_count(),
+                        opts.universe
+                    );
+                    println!("STATS build: {}", ts.build_stats());
+                }
+                Err(e) => println!("STATS explicit: {e}"),
+            }
+        }
     }
 }
 

@@ -560,3 +560,93 @@ fn engine_flag_selects_identical_verdicts() {
     let out = unity_check(&["examples/specs/toy.unity", "--engine", "bogus"]);
     assert_eq!(out.status.code(), Some(2));
 }
+
+/// `priority_ring16.unity`'s four quadrant programs with `checks` as the
+/// spec, written to a temp file named `name`.
+fn ring16_with(name: &str, checks: &str) -> std::path::PathBuf {
+    let src = std::fs::read_to_string("examples/specs/priority_ring16.unity").unwrap();
+    let programs = &src[..src.find("\nspec ").expect("a spec block")];
+    let dir = std::env::temp_dir().join("unity_check_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(name);
+    std::fs::write(&path, format!("{programs}\nspec Ring16\n{checks}\nend\n")).unwrap();
+    path
+}
+
+#[test]
+fn stats_does_no_work_the_checks_did_not() {
+    // One safety check: no check builds the 64,839-state transition
+    // system or the symbolic reachable set, so `--stats` must not
+    // either.
+    let spec = ring16_with("stats_safety_only.unity", "  taut: invariant e0 || !e0");
+    let spec = spec.to_str().unwrap();
+    for engine in ["explicit", "symbolic"] {
+        let plain = unity_check(&[spec, "--engine", engine]);
+        let stats = unity_check(&[spec, "--engine", engine, "--stats"]);
+        assert!(plain.status.success() && stats.status.success());
+        let plain = String::from_utf8_lossy(&plain.stdout).to_string();
+        let stats = String::from_utf8_lossy(&stats.stdout).to_string();
+        let verdicts: String =
+            stats
+                .lines()
+                .filter(|l| !l.starts_with("STATS"))
+                .fold(String::new(), |mut out, l| {
+                    out.push_str(l);
+                    out.push('\n');
+                    out
+                });
+        assert_eq!(verdicts, plain, "{engine}");
+        assert!(!stats.contains("STATS build:"), "{engine}: {stats}");
+        assert!(!stats.contains("reachable state(s)"), "{engine}: {stats}");
+    }
+    let stats = unity_check(&[spec, "--stats"]);
+    let stats = String::from_utf8_lossy(&stats.stdout);
+    assert!(
+        stats.contains("STATS explicit: 8 state(s) scanned by 1 safety check(s)"),
+        "{stats}"
+    );
+    // A leadsto check builds the system, and `--stats` reports it.
+    let live = unity_check(&["examples/specs/priority_ring16.unity", "--stats"]);
+    let live = String::from_utf8_lossy(&live.stdout);
+    assert!(
+        live.contains("STATS explicit: 64839 state(s) visited"),
+        "{live}"
+    );
+    assert!(live.contains("STATS build:"), "{live}");
+    std::fs::remove_file(spec).ok();
+}
+
+#[test]
+fn output_is_identical_at_every_thread_count() {
+    // Every shipped spec in both universes, plus a ring whose lasso once
+    // depended on the thread count: stdout must not depend on
+    // `--threads`.
+    let lasso = ring16_with(
+        "threads_lasso.unity",
+        "  lasso: e1 && e2 leadsto !e1 && !e2 && !e3 && !e5 && !e6",
+    );
+    let mut specs: Vec<std::path::PathBuf> = std::fs::read_dir("examples/specs")
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "unity"))
+        .collect();
+    specs.sort();
+    specs.push(lasso.clone());
+    for spec in &specs {
+        let spec = spec.to_str().unwrap();
+        for universe in ["reachable", "all"] {
+            let run = |threads: &str| {
+                let out = unity_check(&[spec, "--universe", universe, "--threads", threads]);
+                (out.status.code(), out.stdout)
+            };
+            let one = run("1");
+            for threads in ["2", "4"] {
+                assert!(
+                    run(threads) == one,
+                    "{spec} --universe {universe}: --threads {threads} differs from --threads 1"
+                );
+            }
+        }
+    }
+    std::fs::remove_file(lasso).ok();
+}
