@@ -5,16 +5,33 @@ use crate::error::CoreError;
 use super::ast::*;
 use super::lexer::{Spanned, Tok};
 
+/// How deep an expression may nest. Every operator and every pair of
+/// parentheses between the root and a leaf is one level, and a
+/// program's `init` clauses, which are conjoined, count as one `&&`
+/// chain. The parser and every pass after it recurse once per level,
+/// so deeper input is refused with an error instead of overflowing the
+/// stack. The deepest shipped or generated check nests about 16 levels.
+pub const MAX_DEPTH: usize = 256;
+
+/// A parsed expression and how many levels it nests.
+type Nested = (SExpr, usize);
+
 /// Parser over a token stream.
 pub struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    /// How many operators and parentheses enclose the current token.
+    depth: usize,
 }
 
 impl Parser {
     /// Creates a parser over `toks`.
     pub fn new(toks: Vec<Spanned>) -> Self {
-        Parser { toks, pos: 0 }
+        Parser {
+            toks,
+            pos: 0,
+            depth: 0,
+        }
     }
 
     fn peek(&self) -> Option<&Tok> {
@@ -25,23 +42,59 @@ impl Parser {
         self.toks.get(self.pos + 1).map(|s| &s.tok)
     }
 
-    fn here(&self) -> (u32, u32) {
-        match self
-            .toks
-            .get(self.pos.min(self.toks.len().saturating_sub(1)))
-        {
-            Some(s) => (s.line, s.col),
-            None => (1, 1),
-        }
+    fn err<T>(&self, msg: impl Into<String>) -> Result<T, CoreError> {
+        self.err_at(self.pos, msg)
     }
 
-    fn err<T>(&self, msg: impl Into<String>) -> Result<T, CoreError> {
-        let (line, col) = self.here();
+    /// An error at token `at` (the last token past the end).
+    fn err_at<T>(&self, at: usize, msg: impl Into<String>) -> Result<T, CoreError> {
+        let (line, col) = match self.toks.get(at.min(self.toks.len().saturating_sub(1))) {
+            Some(s) => (s.line, s.col),
+            None => (1, 1),
+        };
         Err(CoreError::Parse {
             line,
             col,
             msg: msg.into(),
         })
+    }
+
+    /// The level above `inner`, for the operator or parenthesis at
+    /// token `at`; an error past [`MAX_DEPTH`].
+    fn nest(&self, at: usize, inner: usize) -> Result<usize, CoreError> {
+        if inner >= MAX_DEPTH {
+            return self.err_at(
+                at,
+                format!("expression nested deeper than {MAX_DEPTH} levels"),
+            );
+        }
+        Ok(inner + 1)
+    }
+
+    /// Runs `f` on the operands of the operator or parenthesis at token
+    /// `at`. Entering past [`MAX_DEPTH`] enclosing levels is an error
+    /// before any recursion, since the result would nest deeper still.
+    fn descend<T>(
+        &mut self,
+        at: usize,
+        f: impl FnOnce(&mut Self) -> Result<T, CoreError>,
+    ) -> Result<T, CoreError> {
+        self.depth = self.nest(at, self.depth)?;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// `lhs op rhs` for the operator at token `at`.
+    fn binary(
+        &self,
+        at: usize,
+        op: SBinOp,
+        (l, dl): Nested,
+        (r, dr): Nested,
+    ) -> Result<Nested, CoreError> {
+        let depth = self.nest(at, dl.max(dr))?;
+        Ok((SExpr::Binary(op, Box::new(l), Box::new(r)), depth))
     }
 
     fn bump(&mut self) -> Option<Tok> {
@@ -115,6 +168,7 @@ impl Parser {
         let name = self.expect_ident("program name")?;
         let mut vars = Vec::new();
         let mut inits = Vec::new();
+        let mut init_depth = None;
         let mut commands = Vec::new();
         loop {
             if self.eat_keyword("end") {
@@ -123,7 +177,13 @@ impl Parser {
             if self.eat_keyword("var") {
                 vars.push(self.parse_var_decl()?);
             } else if self.eat_keyword("init") {
-                inits.push(self.parse_expr()?);
+                let at = self.pos - 1;
+                let (init, depth) = self.parse_iff()?;
+                init_depth = Some(match init_depth {
+                    None => depth,
+                    Some(prev) => self.nest(at, depth.max(prev))?,
+                });
+                inits.push(init);
             } else if self.peek_keyword("fair") || self.peek_keyword("cmd") {
                 let fair = self.eat_keyword("fair");
                 self.expect_keyword("cmd")?;
@@ -247,51 +307,55 @@ impl Parser {
 
     /// Parses an expression (lowest precedence: `<=>`).
     pub fn parse_expr(&mut self) -> Result<SExpr, CoreError> {
-        self.parse_iff()
+        Ok(self.parse_iff()?.0)
     }
 
-    fn parse_iff(&mut self) -> Result<SExpr, CoreError> {
+    fn parse_iff(&mut self) -> Result<Nested, CoreError> {
         let mut lhs = self.parse_implies()?;
         while matches!(self.peek(), Some(Tok::Iff)) {
+            let at = self.pos;
             self.pos += 1;
             let rhs = self.parse_implies()?;
-            lhs = SExpr::Binary(SBinOp::Iff, Box::new(lhs), Box::new(rhs));
+            lhs = self.binary(at, SBinOp::Iff, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_implies(&mut self) -> Result<SExpr, CoreError> {
+    fn parse_implies(&mut self) -> Result<Nested, CoreError> {
         let lhs = self.parse_or()?;
-        if matches!(self.peek(), Some(Tok::Implies)) {
-            self.pos += 1;
-            // Right-associative.
-            let rhs = self.parse_implies()?;
-            return Ok(SExpr::Binary(SBinOp::Implies, Box::new(lhs), Box::new(rhs)));
+        if !matches!(self.peek(), Some(Tok::Implies)) {
+            return Ok(lhs);
         }
-        Ok(lhs)
+        let at = self.pos;
+        self.pos += 1;
+        // Right-associative.
+        let rhs = self.descend(at, Self::parse_implies)?;
+        self.binary(at, SBinOp::Implies, lhs, rhs)
     }
 
-    fn parse_or(&mut self) -> Result<SExpr, CoreError> {
+    fn parse_or(&mut self) -> Result<Nested, CoreError> {
         let mut lhs = self.parse_and()?;
         while matches!(self.peek(), Some(Tok::OrOr)) {
+            let at = self.pos;
             self.pos += 1;
             let rhs = self.parse_and()?;
-            lhs = SExpr::Binary(SBinOp::Or, Box::new(lhs), Box::new(rhs));
+            lhs = self.binary(at, SBinOp::Or, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_and(&mut self) -> Result<SExpr, CoreError> {
+    fn parse_and(&mut self) -> Result<Nested, CoreError> {
         let mut lhs = self.parse_cmp()?;
         while matches!(self.peek(), Some(Tok::AndAnd)) {
+            let at = self.pos;
             self.pos += 1;
             let rhs = self.parse_cmp()?;
-            lhs = SExpr::Binary(SBinOp::And, Box::new(lhs), Box::new(rhs));
+            lhs = self.binary(at, SBinOp::And, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_cmp(&mut self) -> Result<SExpr, CoreError> {
+    fn parse_cmp(&mut self) -> Result<Nested, CoreError> {
         let lhs = self.parse_addsub()?;
         let op = match self.peek() {
             Some(Tok::EqEq) => Some(SBinOp::Eq),
@@ -303,14 +367,15 @@ impl Parser {
             _ => None,
         };
         if let Some(op) = op {
+            let at = self.pos;
             self.pos += 1;
             let rhs = self.parse_addsub()?;
-            return Ok(SExpr::Binary(op, Box::new(lhs), Box::new(rhs)));
+            return self.binary(at, op, lhs, rhs);
         }
         Ok(lhs)
     }
 
-    fn parse_addsub(&mut self) -> Result<SExpr, CoreError> {
+    fn parse_addsub(&mut self) -> Result<Nested, CoreError> {
         let mut lhs = self.parse_muldiv()?;
         loop {
             let op = match self.peek() {
@@ -318,14 +383,15 @@ impl Parser {
                 Some(Tok::Minus) => SBinOp::Sub,
                 _ => break,
             };
+            let at = self.pos;
             self.pos += 1;
             let rhs = self.parse_muldiv()?;
-            lhs = SExpr::Binary(op, Box::new(lhs), Box::new(rhs));
+            lhs = self.binary(at, op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_muldiv(&mut self) -> Result<SExpr, CoreError> {
+    fn parse_muldiv(&mut self) -> Result<Nested, CoreError> {
         let mut lhs = self.parse_unary()?;
         loop {
             let op = match self.peek() {
@@ -334,56 +400,62 @@ impl Parser {
                 Some(Tok::Percent) => SBinOp::Mod,
                 _ => break,
             };
+            let at = self.pos;
             self.pos += 1;
             let rhs = self.parse_unary()?;
-            lhs = SExpr::Binary(op, Box::new(lhs), Box::new(rhs));
+            lhs = self.binary(at, op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_unary(&mut self) -> Result<SExpr, CoreError> {
-        match self.peek() {
-            Some(Tok::Bang) => {
-                self.pos += 1;
-                Ok(SExpr::Unary(SUnOp::Not, Box::new(self.parse_unary()?)))
-            }
-            Some(Tok::Minus) => {
-                self.pos += 1;
-                Ok(SExpr::Unary(SUnOp::Neg, Box::new(self.parse_unary()?)))
-            }
-            _ => self.parse_primary(),
-        }
+    fn parse_unary(&mut self) -> Result<Nested, CoreError> {
+        let op = match self.peek() {
+            Some(Tok::Bang) => SUnOp::Not,
+            Some(Tok::Minus) => SUnOp::Neg,
+            _ => return self.parse_primary(),
+        };
+        let at = self.pos;
+        self.pos += 1;
+        let (e, depth) = self.descend(at, Self::parse_unary)?;
+        Ok((SExpr::Unary(op, Box::new(e)), self.nest(at, depth)?))
     }
 
-    fn parse_primary(&mut self) -> Result<SExpr, CoreError> {
+    fn parse_primary(&mut self) -> Result<Nested, CoreError> {
+        let at = self.pos;
         match self.peek().cloned() {
             Some(Tok::Int(n)) => {
                 self.pos += 1;
-                Ok(SExpr::Int(n))
+                Ok((SExpr::Int(n), 0))
             }
             Some(Tok::LParen) => {
                 self.pos += 1;
-                let e = self.parse_expr()?;
-                self.expect(&Tok::RParen, "`)`")?;
-                Ok(e)
+                let (e, depth) = self.descend(at, |p| {
+                    let e = p.parse_iff()?;
+                    p.expect(&Tok::RParen, "`)`")?;
+                    Ok(e)
+                })?;
+                Ok((e, self.nest(at, depth)?))
             }
             Some(Tok::Ident(name)) => match name.as_str() {
                 "true" => {
                     self.pos += 1;
-                    Ok(SExpr::Bool(true))
+                    Ok((SExpr::Bool(true), 0))
                 }
                 "false" => {
                     self.pos += 1;
-                    Ok(SExpr::Bool(false))
+                    Ok((SExpr::Bool(false), 0))
                 }
                 "if" => {
                     self.pos += 1;
-                    let c = self.parse_expr()?;
-                    self.expect_keyword("then")?;
-                    let t = self.parse_expr()?;
-                    self.expect_keyword("else")?;
-                    let e = self.parse_expr()?;
-                    Ok(SExpr::Ite(Box::new(c), Box::new(t), Box::new(e)))
+                    let ((c, dc), (t, dt), (e, de)) = self.descend(at, |p| {
+                        let c = p.parse_iff()?;
+                        p.expect_keyword("then")?;
+                        let t = p.parse_iff()?;
+                        p.expect_keyword("else")?;
+                        Ok((c, t, p.parse_iff()?))
+                    })?;
+                    let depth = self.nest(at, dc.max(dt).max(de))?;
+                    Ok((SExpr::Ite(Box::new(c), Box::new(t), Box::new(e)), depth))
                 }
                 "all" | "any" | "sum" | "min" | "max"
                     if matches!(self.peek2(), Some(Tok::LParen)) =>
@@ -396,23 +468,28 @@ impl Parser {
                         _ => SCall::Max,
                     };
                     self.pos += 2; // ident + lparen
-                    let mut args = Vec::new();
-                    if !matches!(self.peek(), Some(Tok::RParen)) {
-                        loop {
-                            args.push(self.parse_expr()?);
-                            if matches!(self.peek(), Some(Tok::Comma)) {
-                                self.pos += 1;
-                            } else {
-                                break;
+                    let (args, depth) = self.descend(at, |p| {
+                        let (mut args, mut depth) = (Vec::new(), 0);
+                        if !matches!(p.peek(), Some(Tok::RParen)) {
+                            loop {
+                                let (arg, d) = p.parse_iff()?;
+                                args.push(arg);
+                                depth = depth.max(d);
+                                if matches!(p.peek(), Some(Tok::Comma)) {
+                                    p.pos += 1;
+                                } else {
+                                    break;
+                                }
                             }
                         }
-                    }
-                    self.expect(&Tok::RParen, "`)`")?;
-                    Ok(SExpr::Call(call, args))
+                        p.expect(&Tok::RParen, "`)`")?;
+                        Ok((args, depth))
+                    })?;
+                    Ok((SExpr::Call(call, args), self.nest(at, depth)?))
                 }
                 _ => {
                     self.pos += 1;
-                    Ok(SExpr::Name(name))
+                    Ok((SExpr::Name(name), 0))
                 }
             },
             Some(t) => self.err(format!("expected expression, found {t:?}")),
@@ -482,6 +559,87 @@ mod tests {
         // a < b < c is a parse error (comparison doesn't chain).
         let r = Parser::new(lex("a < b < c").unwrap()).parse_expr_eof();
         assert!(r.is_err());
+    }
+
+    /// `Ok` when `src` parses, the error's column when it nests too deep.
+    fn nesting(src: &str) -> Result<(), u32> {
+        match Parser::new(lex(src).unwrap()).parse_expr_eof() {
+            Ok(_) => Ok(()),
+            Err(CoreError::Parse { line: 1, col, msg }) if msg.contains("nested deeper") => {
+                Err(col)
+            }
+            Err(other) => panic!("unexpected {other}"),
+        }
+    }
+
+    /// A form that nests, and the form written `n` levels deep.
+    type Form = (&'static str, fn(usize) -> String);
+
+    const FORMS: [Form; 9] = [
+        ("parentheses", |n| {
+            format!("{}p{}", "(".repeat(n), ")".repeat(n))
+        }),
+        ("!", |n| format!("{}p", "!".repeat(n))),
+        ("unary -", |n| format!("{}x", "-".repeat(n))),
+        ("=>", |n| vec!["p"; n + 1].join(" => ")),
+        ("if", |n| format!("{}x", "if p then x else ".repeat(n))),
+        ("calls", |n| {
+            format!("{}x{}", "sum(".repeat(n), ")".repeat(n))
+        }),
+        ("&&", |n| vec!["p"; n + 1].join(" && ")),
+        ("+", |n| vec!["x"; n + 1].join(" + ")),
+        // Levels add up across forms.
+        ("mixed", |n| format!("!({})", vec!["p"; n - 1].join(" || "))),
+    ];
+
+    /// Runs `f` on a main thread's 8 MiB stack, which `unity-check` and
+    /// the daemon's workers parse on: unoptimized, the parser spends
+    /// about 16 KiB per level of parentheses, more than a 2 MiB test
+    /// thread holds at the limit.
+    fn on_main_stack(f: impl FnOnce() + Send + 'static) {
+        let worker = std::thread::Builder::new().stack_size(8 << 20).spawn(f);
+        if let Err(panic) = worker.unwrap().join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+
+    #[test]
+    fn nesting_is_refused_one_level_past_the_limit() {
+        on_main_stack(|| {
+            for (form, nest) in FORMS {
+                assert_eq!(nesting(&nest(MAX_DEPTH)), Ok(()), "{form} at the limit");
+                assert!(nesting(&nest(MAX_DEPTH + 1)).is_err(), "{form} past it");
+            }
+            // The error names the operator or parenthesis one level too deep.
+            let col = |k: usize| Err(k as u32);
+            assert_eq!(nesting(&FORMS[0].1(MAX_DEPTH + 1)), col(MAX_DEPTH + 1));
+            let and_col = 3 + 5 * MAX_DEPTH; // `p && ` per level
+            assert_eq!(nesting(&FORMS[6].1(MAX_DEPTH + 1)), col(and_col));
+        });
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        on_main_stack(|| {
+            for (form, nest) in FORMS {
+                assert!(nesting(&nest(100_000)).is_err(), "{form}");
+            }
+        });
+    }
+
+    #[test]
+    fn init_clauses_nest_as_one_conjunction() {
+        let program = |clauses: usize| {
+            let src = format!(
+                "program P\n var p : bool\n{}end",
+                "init p\n".repeat(clauses)
+            );
+            Parser::new(lex(&src).unwrap()).parse_programs()
+        };
+        // `k` clauses conjoin to `k - 1` levels of `&&`.
+        assert!(program(MAX_DEPTH + 1).is_ok());
+        let err = program(MAX_DEPTH + 2).unwrap_err().to_string();
+        assert!(err.contains("nested deeper"), "{err}");
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //! `PredIndex::to_artifact_bytes`); this module only fixes the shared
 //! byte-level conventions.
 
-use crate::hasher::FxHasher;
 use std::hash::Hasher as _;
+
+use unity_core::hash::FxHasher;
 
 /// Magic prefix of every artifact segment file.
 pub const SEGMENT_MAGIC: &[u8; 6] = b"UNISEG";

@@ -2,11 +2,12 @@
 //!
 //! All safety checks follow the paper's *inductive* semantics: they
 //! quantify over **all** type-consistent states, never just reachable ones
-//! (the paper explicitly avoids the substitution axiom). Reachability-aware
-//! variants exist under explicit names for comparison experiments.
+//! (the paper explicitly avoids the substitution axiom). The one
+//! reachable reading, [`check_invariant_reachable`], exists for
+//! comparison and walks the reachable transition system.
 //!
-//! Every public checker here is a **one-shot wrapper**: it opens a
-//! throwaway engine cache and forwards to the cache-threaded `*_in`
+//! Every other public checker here is a **one-shot wrapper**: it opens
+//! a throwaway engine cache and forwards to the cache-threaded `*_in`
 //! form the [`Verifier`](crate::verifier::Verifier) session shares its
 //! memoized artifacts through. Checking many properties of one program?
 //! Use a session — same verdicts, one set of artifacts.
@@ -25,7 +26,7 @@ use unity_core::properties::Property;
 use crate::compiled::{decode_witness, scan_packed};
 use crate::space::{scan_for, ScanConfig};
 use crate::trace::{Counterexample, McError};
-use crate::transition::Universe;
+use crate::transition::{TransitionSystem, Universe};
 use crate::verifier::EngineCache;
 use crate::witness;
 
@@ -387,33 +388,31 @@ pub(crate) fn check_invariant_in(
     check_stable_in(program, p, cfg, cache)
 }
 
-/// Checks `invariant p` over *reachable* states only (the
-/// strongest-invariant reading the paper avoids). Provided for the
-/// compositional-vs-monolithic comparison experiments.
+/// Checks `invariant p` over *reachable* states only: the
+/// strongest-invariant reading the paper avoids, kept to compare with
+/// the inductive [`check_invariant`]. It walks the reachable
+/// [`TransitionSystem`], so like that build it refuses a vocabulary
+/// whose domain product exceeds `cfg.max_states`. A violation comes
+/// back as a shortest path from an initial state
+/// ([`Counterexample::Reach`]).
 pub fn check_invariant_reachable(
     program: &Program,
     p: &Expr,
     cfg: &ScanConfig,
 ) -> Result<(), McError> {
     p.check_pred(&program.vocab)?;
-    crate::space::space_size(&program.vocab, cfg)?;
-    // Exhaustive BFS (the budget cannot bind after the space_size guard),
-    // so violations come back as shortest paths from an initial state.
-    let bmc = crate::bmc::BmcConfig {
-        max_depth: u32::MAX,
-        max_states: usize::MAX,
-        compiled: cfg.uses_compiled(),
-        ..Default::default()
-    };
-    match crate::bmc::bounded_invariant(program, p, &bmc) {
-        Ok(verdict) => {
-            debug_assert!(verdict.is_complete());
-            Ok(())
+    let ts = TransitionSystem::build(program, Universe::Reachable, cfg)?;
+    let sat = ts.sat_vec_with(p, &cfg.par);
+    match ts.shortest_path(&ts.init, |_| true, |s| !sat[s as usize]) {
+        None => Ok(()),
+        Some(path) => {
+            let path = path.into_iter().map(|s| ts.state(s)).collect();
+            Err(refuted(
+                program,
+                &Property::Invariant(p.clone()),
+                Counterexample::Reach { path },
+            ))
         }
-        Err(McError::Refuted { cex, .. }) => {
-            Err(refuted(program, &Property::Invariant(p.clone()), cex))
-        }
-        Err(other) => Err(other),
     }
 }
 
@@ -832,29 +831,9 @@ mod tests {
         let inv = eq(var(c), var(big));
         check_invariant(&p, &inv, &ScanConfig::default()).unwrap();
         check_invariant_reachable(&p, &inv, &ScanConfig::default()).unwrap();
-        // A reachably-true but non-inductive predicate: C <= c is reachably
-        // invariant (they're equal) but not stable from e.g. c=0, C=1?
-        // c=0,C=1: command sets c=1, C=2: C<=c becomes 2<=1 false — wait
-        // C<=c at (0,1) is 1<=0 false, so vacuous. Use c >= C: at state
-        // (c=3, C=0) command blocked... use C < 3 => c < 3? At (c=0,C=2)
-        // step → (1,3): C<3 ⇒ c<3 was true (2<3⇒0<3), after: 3<3 false ⇒
-        // vacuous true. Simpler known split: "C == c" is inductive here, so
-        // demonstrate divergence with "C + c is even":
-        let even = eq(rem(add(var(big), var(c)), int(2)), int(0));
-        // Reachably: C == c so C + c = 2c is always even — holds.
-        check_invariant_reachable(&p, &even, &ScanConfig::default()).unwrap();
-        // Inductively: from (c=0, C=1) the sum 1 is odd — init fails?
-        // No: init pins both to 0. Stability fails? From (c=1, C=1): sum 2
-        // even, step → (2,2) sum even. From (c=0,C=2): step → (1,3): 4
-        // even. Parity of C+c is in fact preserved by +2 steps; but init
-        // allows only (0,0) so inductive init holds; stability: sum parity
-        // preserved. So it IS inductive. Use instead "c <= C":
-        // from (c=2, C=0): step → (3,1): 3 <= 1 false, while 2 <= 0 was
-        // false — vacuous. Hmm, use "c >= C": at (c=0,C=0) ok; from
-        // (c=0, C=3): 0>=3 false — vacuous. From (c=3,C=2): 3>=2, guard
-        // c<3 blocks, stays — fine. From (c=2,C=3): false vacuous. From
-        // (c=2,C=2): step (3,3) ok. Also inductive!
-        // The genuinely non-inductive one: "C != 1 || c == 1":
+        // Every reachable state has C == c, so this holds there, but the
+        // unreachable state c = 1, C = 0 satisfies it and steps to
+        // c = 2, C = 1, which does not: it is not inductive.
         let tricky = or2(ne(var(big), int(1)), eq(var(c), int(1)));
         check_invariant_reachable(&p, &tricky, &ScanConfig::default()).unwrap();
         let r = check_invariant(&p, &tricky, &ScanConfig::default());
@@ -862,6 +841,63 @@ mod tests {
             r.is_err(),
             "non-inductive predicate must fail the inductive check"
         );
+    }
+
+    /// `x` counts up through 0..=9: `jump` adds `step` (when given),
+    /// then `inc` adds 1.
+    fn stepper(step: Option<i64>) -> Program {
+        let mut v = Vocabulary::new();
+        let x = v.declare("x", Domain::int_range(0, 9).unwrap()).unwrap();
+        let mut b = Program::builder("stepper", Arc::new(v)).init(eq(var(x), int(0)));
+        if let Some(k) = step {
+            b = b.fair_command("jump", tt(), vec![(x, add(var(x), int(k)))]);
+        }
+        b.fair_command("inc", lt(var(x), int(9)), vec![(x, add(var(x), int(1)))])
+            .build()
+            .unwrap()
+    }
+
+    /// The `x` values along the path a refuted reachable check reports.
+    fn reach_path(p: &Program, pred: &Expr, cfg: &ScanConfig) -> Vec<i64> {
+        let x = p.vocab.lookup("x").unwrap();
+        match check_invariant_reachable(p, pred, cfg) {
+            Err(McError::Refuted {
+                cex: Counterexample::Reach { path },
+                ..
+            }) => path
+                .iter()
+                .map(|s| match s.get(x) {
+                    unity_core::value::Value::Int(n) => n,
+                    other => panic!("x is an integer, got {other:?}"),
+                })
+                .collect(),
+            other => panic!("expected a reach path, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn reachable_finds_violation_with_shortest_path() {
+        let (count, jump) = (stepper(None), stepper(Some(2)));
+        let x = var(count.vocab.lookup("x").unwrap());
+        for cfg in [ScanConfig::default(), ScanConfig::reference()] {
+            assert_eq!(
+                reach_path(&count, &lt(x.clone(), int(3)), &cfg),
+                [0, 1, 2, 3]
+            );
+            check_invariant_reachable(&count, &le(x.clone(), int(9)), &cfg).unwrap();
+            // Successors are discovered in command order: `jump` reaches
+            // 4 before `inc` reaches 3, both two steps from the start.
+            assert_eq!(reach_path(&jump, &lt(x.clone(), int(3)), &cfg), [0, 2, 4]);
+        }
+    }
+
+    #[test]
+    fn reachable_checks_initial_states() {
+        let count = stepper(None);
+        let x = var(count.vocab.lookup("x").unwrap());
+        for cfg in [ScanConfig::default(), ScanConfig::reference()] {
+            assert_eq!(reach_path(&count, &gt(x.clone(), int(0)), &cfg), [0]);
+        }
     }
 
     #[test]

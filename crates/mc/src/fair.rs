@@ -474,40 +474,13 @@ fn lasso_prefix(
     trap_member: impl Fn(u32) -> bool,
     v0: u32,
 ) -> (Vec<u32>, Option<u32>) {
-    let n = ts.len();
-    let mut prev: Vec<Option<u32>> = vec![None; n];
-    let mut seen = vec![false; n];
-    let mut queue = std::collections::VecDeque::new();
-    seen[v0 as usize] = true;
-    queue.push_back(v0);
-    let mut target = None;
-    'bfs: while let Some(u) = queue.pop_front() {
-        if trap_member(u) {
-            target = Some(u);
-            break 'bfs;
+    match ts.shortest_path(&[v0], |w| not_q[w as usize], trap_member) {
+        Some(prefix_ids) => {
+            let target = prefix_ids.last().copied();
+            (prefix_ids, target)
         }
-        for &w in ts.succ_row(u as usize) {
-            if not_q[w as usize] && !seen[w as usize] {
-                seen[w as usize] = true;
-                prev[w as usize] = Some(u);
-                queue.push_back(w);
-            }
-        }
+        None => (vec![v0], None),
     }
-    let mut prefix_ids = Vec::new();
-    if let Some(mut t) = target {
-        loop {
-            prefix_ids.push(t);
-            match prev[t as usize] {
-                Some(p) => t = p,
-                None => break,
-            }
-        }
-        prefix_ids.reverse();
-    } else {
-        prefix_ids.push(v0);
-    }
-    (prefix_ids, target)
 }
 
 /// Assembles the refutation error from decoded lasso pieces.

@@ -57,12 +57,10 @@
 #![forbid(unsafe_code)]
 
 pub mod artifact;
-pub mod bmc;
 pub mod check;
 pub mod compiled;
 pub mod compositional;
 pub mod fair;
-pub mod hasher;
 pub mod json;
 pub mod mutate;
 pub mod parallel;
@@ -73,7 +71,6 @@ pub mod space;
 pub mod spec;
 pub mod stats;
 pub mod symbolic;
-pub mod symmetry;
 pub mod synth;
 pub mod trace;
 pub mod transition;
@@ -82,10 +79,6 @@ mod witness;
 
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::bmc::{
-        bounded_invariant, bounded_invariant_from, random_walk_invariant,
-        random_walk_invariant_from, BmcConfig, BoundedVerdict, WalkStats,
-    };
     pub use crate::check::{
         check_init, check_invariant, check_invariant_reachable, check_next, check_next_wp,
         check_property, check_stable, check_transient, check_unchanged, McDischarger,
@@ -105,10 +98,6 @@ pub mod prelude {
     pub use crate::space::{check_equivalent, check_valid, find_satisfying, Engine, ScanConfig};
     pub use crate::stats::BuildStats;
     pub use crate::symbolic::{reachable_count, reachable_count_with};
-    pub use crate::symmetry::{
-        check_invariant_symmetric, check_invariant_symmetric_prevalidated, QuotientStats,
-        SymmetrySpec, SymmetryViolation,
-    };
     pub use crate::synth::{
         synthesize_always_leadsto, synthesize_and_check, synthesize_and_check_in,
         synthesize_leadsto, synthesize_leadsto_in, ProgramDischarger, SynthConfig, SynthError,

@@ -39,9 +39,9 @@ pub enum Engine {
     Compiled,
     /// The symbolic BDD backend (`unity-symbolic`): state *sets* instead
     /// of state enumeration — the only engine whose cost is independent
-    /// of the state count. Checks it does not implement (`leadsto`,
-    /// bounded modes) and programs it cannot lower fall back to the
-    /// compiled path.
+    /// of the state count. Checks it does not implement (`leadsto`, the
+    /// reachable `invariant`) and programs it cannot lower fall back to
+    /// the compiled path.
     Symbolic,
 }
 

@@ -46,7 +46,8 @@ pub enum Counterexample {
         state: State,
     },
     /// A concrete execution path whose final state violates the checked
-    /// predicate (bounded/random-walk modes).
+    /// predicate: a shortest one, from
+    /// [`check_invariant_reachable`](crate::check::check_invariant_reachable).
     Reach {
         /// States from an initial state (inclusive) to the violating state
         /// (inclusive); adjacent states are one command step apart.

@@ -11,13 +11,13 @@ use std::sync::Arc;
 use unity_core::expr::compile::{CompiledExpr, PackedLayout, Scratch};
 use unity_core::expr::eval::eval_bool;
 use unity_core::expr::Expr;
+use unity_core::hash::FxHashMap;
 use unity_core::ident::Vocabulary;
 use unity_core::locality::{packed_weights, InitGroups};
 use unity_core::program::Program;
 use unity_core::state::{State, StateSpaceIter};
 
 use crate::compiled::CompiledProgram;
-use crate::hasher::FxHashMap;
 use crate::parallel::{par_chunks, ParConfig, RANGE_CHUNK};
 use crate::space::ScanConfig;
 use crate::stats::BuildStats;
@@ -176,10 +176,11 @@ impl TransitionSystem {
         })
     }
 
-    /// Packed breadth-first construction: states intern as `u64` words in
-    /// an integer-keyed table (no per-probe hashing of value slices) and
-    /// successors come from compiled command steps. Explicit [`State`]s
-    /// are only materialized once per interned state, at the end.
+    /// Packed construction: states intern as `u64` words in an
+    /// integer-keyed table (no per-probe hashing of value slices) and
+    /// successors come from compiled command steps. Ids follow discovery
+    /// order, but the last discovered state is expanded first, so they
+    /// are not breadth-first. Explicit [`State`]s are decoded on demand.
     fn build_reachable_packed(program: &Program, cp: CompiledProgram) -> Self {
         let n_commands = program.commands.len();
         let layout = &cp.layout;
@@ -521,6 +522,53 @@ impl TransitionSystem {
     #[inline(always)]
     pub fn succ_at(&self, s: usize, c: usize) -> u32 {
         self.succ[s * self.n_commands + c]
+    }
+
+    /// The ids along a shortest path from one of `roots` to a state
+    /// satisfying `target`, through states satisfying `enter`. The walk
+    /// is breadth first: the roots in order, then each state's
+    /// successors in command order. A state is tested when it is first
+    /// discovered, so the path ends at the first target in that order.
+    /// `None` when no target can be reached.
+    pub(crate) fn shortest_path(
+        &self,
+        roots: &[u32],
+        enter: impl Fn(u32) -> bool,
+        target: impl Fn(u32) -> bool,
+    ) -> Option<Vec<u32>> {
+        const UNSEEN: u32 = u32::MAX;
+        // The state each state was discovered from; a root is its own
+        // parent.
+        let mut parent = vec![UNSEEN; self.len()];
+        let mut queue = Vec::new();
+        let mut head = 0;
+        // `None` expands the roots, `Some(s)` the successors of `s`.
+        let mut from = None;
+        loop {
+            let row = match from {
+                None => roots,
+                Some(s) => self.succ_row(s as usize),
+            };
+            for &s in row {
+                if parent[s as usize] != UNSEEN || !enter(s) {
+                    continue;
+                }
+                parent[s as usize] = from.unwrap_or(s);
+                if target(s) {
+                    let mut path = vec![s];
+                    let mut at = s;
+                    while parent[at as usize] != at {
+                        at = parent[at as usize];
+                        path.push(at);
+                    }
+                    path.reverse();
+                    return Some(path);
+                }
+                queue.push(s);
+            }
+            from = Some(*queue.get(head)?);
+            head += 1;
+        }
     }
 
     /// Ids of states satisfying `pred`.

@@ -10,6 +10,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use unity_core::domain::Domain;
 use unity_core::expr::build::*;
+use unity_core::expr::eval::eval_bool;
 use unity_core::expr::Expr;
 use unity_core::ident::{VarId, Vocabulary};
 use unity_core::program::Program;
@@ -199,25 +200,30 @@ proptest! {
     }
 
     #[test]
-    fn leadsto_and_bounded_agree(prog in arb_program(), p in arb_pred(), q in arb_pred()) {
+    fn leadsto_and_reachable_invariant_agree(prog in arb_program(), p in arb_pred(), q in arb_pred()) {
         let c = check_leadsto(&prog, &p, &q, Universe::Reachable, &ScanConfig::default());
         let r = check_leadsto(&prog, &p, &q, Universe::Reachable, &ScanConfig::reference());
         prop_assert!(agree(&c, &r), "leadsto engines disagree: {:?} vs {:?}", c, r);
-        // Bounded invariant: the packed BFS against the reference BFS
-        // (explicitly pinned engines), cross-checked against the exact
-        // reachable checker.
-        let bounded_c = bounded_invariant(&prog, &p, &BmcConfig::default());
-        let bounded_r = bounded_invariant(
-            &prog,
-            &p,
-            &BmcConfig {
-                compiled: false,
-                ..Default::default()
-            },
-        );
-        prop_assert_eq!(bounded_c.is_ok(), bounded_r.is_ok());
-        let exact = check_invariant_reachable(&prog, &p, &ScanConfig::reference());
-        prop_assert_eq!(bounded_c.is_ok(), exact.is_ok());
+        // The reachable invariant: the same verdict and the same path on
+        // both engines, and the path is a real execution that violates
+        // `p` only at its end.
+        let c = witness(check_invariant_reachable(&prog, &p, &ScanConfig::default()));
+        let r = witness(check_invariant_reachable(&prog, &p, &ScanConfig::reference()));
+        prop_assert_eq!(&c, &r);
+        if let Some(cex) = c {
+            let Counterexample::Reach { path } = cex else {
+                panic!("expected a reach path, got {cex:?}");
+            };
+            prop_assert!(prog.satisfies_init(&path[0]), "the path starts in an initial state");
+            for w in path.windows(2) {
+                prop_assert!(
+                    prog.commands.iter().any(|cmd| cmd.step(&w[0], &prog.vocab) == w[1]),
+                    "every step is a command step"
+                );
+            }
+            let (last, before) = path.split_last().unwrap();
+            prop_assert!(before.iter().all(|s| eval_bool(&p, s)) && !eval_bool(&p, last));
+        }
     }
 }
 

@@ -28,6 +28,14 @@ use std::time::{Duration, Instant};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// Each worker's stack: a main thread's 8 MiB, so a spec `unity-check`
+/// parses also parses here. The DSL parser and the passes after it
+/// recurse once per nesting level, up to
+/// [`unity_core::dsl::parser::MAX_DEPTH`]; an unoptimized build spends
+/// about 16 KiB of stack per level of parentheses, which a default
+/// 2 MiB thread cannot hold. The pages are committed only when touched.
+const WORKER_STACK_BYTES: usize = 8 << 20;
+
 struct Queue {
     jobs: VecDeque<Job>,
     shutdown: bool,
@@ -78,6 +86,7 @@ impl WorkerPool {
                 #[allow(clippy::expect_used)] // thread spawn at startup: no caller can recover
                 std::thread::Builder::new()
                     .name(format!("unity-serve-worker-{k}"))
+                    .stack_size(WORKER_STACK_BYTES)
                     .spawn(move || worker_loop(&shared))
                     .expect("spawn worker")
             })

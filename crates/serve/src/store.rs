@@ -46,9 +46,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use unity_ag::cert::{CertKey, CertStore};
+use unity_core::hash::FxHasher;
 use unity_core::program::Program;
 use unity_mc::artifact::{decode_segment, encode_segment, ByteReader, ByteWriter};
-use unity_mc::hasher::FxHasher;
 use unity_mc::prelude::{PredIndex, ScanConfig, SessionArtifacts, TransitionSystem};
 
 /// Specs kept decoded in memory (FIFO eviction).

@@ -114,6 +114,25 @@ fn kill_and_restart_preserves_the_verdict_history() {
 }
 
 #[test]
+fn deeply_nested_spec_is_refused_and_the_daemon_keeps_serving() {
+    let dir = fresh_dir("deep");
+    let daemon = Daemon::start(&dir);
+    let n = 100_000;
+    let deep = format!(
+        "program P\n  var x : bool\n  init x\nend\nspec S\n  deep: invariant {}x{}\nend",
+        "(".repeat(n),
+        ")".repeat(n)
+    );
+    let body = VerifyRequest::new(&deep).to_json();
+    let (status, body) = request(&daemon.addr, "POST", "/verify", Some(&body)).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nested deeper than"), "{body}");
+    // The worker that parsed it is still there to answer.
+    assert!(daemon.verify(SPEC).report.all_passed());
+    daemon.kill();
+}
+
+#[test]
 fn zero_workers_is_a_usage_error() {
     let out = unity_serve()
         .args(["--data-dir", "/tmp/unused", "--workers", "0"])

@@ -101,10 +101,10 @@
 
 use std::process::ExitCode;
 
-use unity_composition::spec::load_spec;
 use unity_core::conserve::{conserved_linear_combinations, invariant_from_combo};
 use unity_core::properties::Property;
 use unity_mc::prelude::*;
+use unity_mc::spec::load_spec;
 use unity_mc::synth::{synthesize_and_check_in, SynthConfig, SynthError};
 use unity_mc::verifier::Outcome;
 use unity_sim::prelude::*;
@@ -540,7 +540,7 @@ fn run(opts: &Options) -> Result<bool, String> {
 /// the kernel rule that closed it.
 fn run_compositional(
     opts: &Options,
-    spec: &unity_composition::spec::SpecFile,
+    spec: &unity_mc::spec::SpecFile,
     cfg: ScanConfig,
     t0: std::time::Instant,
 ) -> Result<bool, String> {
@@ -707,7 +707,7 @@ fn stats_report(
 
 /// `--conserve`: print the conserved-combination basis and any derived
 /// invariants (informational).
-fn conserve_report(spec: &unity_composition::spec::SpecFile) {
+fn conserve_report(spec: &unity_mc::spec::SpecFile) {
     let program = &spec.system.composed;
     let vocab = spec.system.vocab();
     let basis = conserved_linear_combinations(program);
@@ -736,11 +736,7 @@ fn conserve_report(spec: &unity_composition::spec::SpecFile) {
 /// every `leadsto` check (informational). The synthesis explores the
 /// session's memoized reachable transition system — with several
 /// `leadsto` goals in one file it is built once, not per goal.
-fn synthesize_report(
-    opts: &Options,
-    session: &mut Verifier<'_>,
-    spec: &unity_composition::spec::SpecFile,
-) {
+fn synthesize_report(opts: &Options, session: &mut Verifier<'_>, spec: &unity_mc::spec::SpecFile) {
     let vocab = spec.system.vocab();
     let cfg = SynthConfig::default();
     for c in &spec.checks {
@@ -780,7 +776,7 @@ fn synthesize_report(
 /// session over that mutant. The audit runs under the session's engine
 /// configuration (`--engine`), where it previously always used the
 /// compiled default.
-fn mutate_report(session: &mut Verifier<'_>, spec: &unity_composition::spec::SpecFile) {
+fn mutate_report(session: &mut Verifier<'_>, spec: &unity_mc::spec::SpecFile) {
     match mutation_audit_in(session, &spec.checks) {
         Ok(report) => print!("MUTATE: {}", report.summary()),
         Err(e) => println!("MUTATE-ERROR: {e}"),
@@ -790,10 +786,7 @@ fn mutate_report(session: &mut Verifier<'_>, spec: &unity_composition::spec::Spe
 /// Runs the weakly-fair simulation with invariant monitors and optional
 /// trace export. Returns one [`SimCheck`] per monitored invariant for
 /// the run's [`Report`].
-fn simulate(
-    opts: &Options,
-    spec: &unity_composition::spec::SpecFile,
-) -> Result<Vec<SimCheck>, String> {
+fn simulate(opts: &Options, spec: &unity_mc::spec::SpecFile) -> Result<Vec<SimCheck>, String> {
     let program = &spec.system.composed;
     let mut invariants: Vec<(String, InvariantMonitor)> = spec
         .checks

@@ -23,8 +23,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod spec;
-
 pub use prio_graph;
 pub use unity_core;
 pub use unity_dist;

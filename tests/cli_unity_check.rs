@@ -239,6 +239,35 @@ fn json_report_on_infrastructure_error_exits_2_but_persists() {
 }
 
 #[test]
+fn deeply_nested_checks_are_parse_errors_not_crashes() {
+    let dir = std::env::temp_dir().join("unity_check_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let n = 100_000;
+    for (name, check) in [
+        (
+            "deep_parens.unity",
+            format!("{}x{}", "(".repeat(n), ")".repeat(n)),
+        ),
+        ("deep_and.unity", vec!["x"; n].join(" && ")),
+    ] {
+        let spec = dir.join(name);
+        std::fs::write(
+            &spec,
+            format!("program P\n  var x : bool\n  init x\nend\nspec S\n  deep: invariant {check}\nend\n"),
+        )
+        .unwrap();
+        let out = unity_check(&[spec.to_str().unwrap(), "--quiet"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
+        assert!(
+            stderr.contains("parse error") && stderr.contains("nested deeper than"),
+            "{name}: {stderr}"
+        );
+        std::fs::remove_file(&spec).ok();
+    }
+}
+
+#[test]
 fn json_flag_requires_a_path() {
     let out = unity_check(&["examples/specs/toy.unity", "--json"]);
     assert_eq!(out.status.code(), Some(2));
