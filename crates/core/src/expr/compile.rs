@@ -425,6 +425,95 @@ pub struct CompiledExpr {
     /// [`CompiledExpr::compile_unpacked`] programs, whose packed
     /// evaluation would silently read every variable as 0.
     has_layout: bool,
+    /// The literal conjuncts as one mask test: a word with
+    /// `word & lit_mask != lit_value` evaluates to 0. `(0, 0)` tests
+    /// nothing; `(0, 1)` fails every word.
+    lit_mask: u64,
+    lit_value: u64,
+    /// Whether the mask test decides alone (every conjunct is literal).
+    exact: bool,
+}
+
+/// One conjunct read as a literal test: `b`, `!b`, `x == c`, `c == x`,
+/// `b <=> c` or a boolean constant.
+enum Pin {
+    /// Always true (`true`, or a pin of a 0-bit field to its value).
+    Always,
+    /// Always false (`false`, or a constant outside the domain).
+    Never,
+    /// `(word & mask) == value` on one field.
+    Field { mask: u64, value: u64 },
+}
+
+/// Reads `e` as a literal test over `layout`, or `None` when it is not
+/// one. A bare `b` or `!b` counts only for a field holding 0 and 1, so
+/// its bytecode value is the test's 0/1 result.
+fn literal_pin(e: &Expr, layout: &PackedLayout) -> Option<Pin> {
+    let bit = |v: usize| layout.base[v] == 0 && layout.size[v] == 2;
+    let pin = |v: usize, c: i64| match c.checked_sub(layout.base[v]) {
+        Some(idx) if idx >= 0 && (idx as u64) < layout.size[v] => Pin::Field {
+            mask: layout.mask[v] << layout.shift[v],
+            value: (idx as u64) << layout.shift[v],
+        },
+        _ => Pin::Never,
+    };
+    let lit = |v: &Value| match v {
+        Value::Bool(b) => i64::from(*b),
+        Value::Int(n) => *n,
+    };
+    match e {
+        Expr::Lit(Value::Bool(true)) => Some(Pin::Always),
+        Expr::Lit(Value::Bool(false)) => Some(Pin::Never),
+        Expr::Var(id) if bit(id.index()) => Some(pin(id.index(), 1)),
+        Expr::Not(a) => match a.as_ref() {
+            Expr::Var(id) if bit(id.index()) => Some(pin(id.index(), 0)),
+            _ => None,
+        },
+        Expr::Bin(BinOp::Eq | BinOp::Iff, a, b) => match (a.as_ref(), b.as_ref()) {
+            (Expr::Var(id), Expr::Lit(c)) | (Expr::Lit(c), Expr::Var(id)) => {
+                Some(pin(id.index(), lit(c)))
+            }
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// Collects the top-level conjuncts of `e` (binary and n-ary `&&`).
+fn conjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+    match e {
+        Expr::Bin(BinOp::And, a, b) => {
+            conjuncts(a, out);
+            conjuncts(b, out);
+        }
+        Expr::NAry(NAryOp::And, args) => args.iter().for_each(|a| conjuncts(a, out)),
+        _ => out.push(e),
+    }
+}
+
+/// Folds the literal conjuncts of `e` into `(mask, value, exact)`.
+/// A contradiction (a `Never` pin, or two pins of one field to
+/// different values) makes the expression always 0: `(0, 1, true)`.
+fn literal_mask(e: &Expr, layout: &PackedLayout) -> (u64, u64, bool) {
+    const ALWAYS_ZERO: (u64, u64, bool) = (0, 1, true);
+    let mut parts = Vec::new();
+    conjuncts(e, &mut parts);
+    let (mut mask, mut value, mut exact) = (0u64, 0u64, true);
+    for part in parts {
+        match literal_pin(part, layout) {
+            Some(Pin::Always) => {}
+            Some(Pin::Never) => return ALWAYS_ZERO,
+            Some(Pin::Field { mask: m, value: v }) => {
+                if mask & m != 0 && value & m != v {
+                    return ALWAYS_ZERO;
+                }
+                mask |= m;
+                value |= v;
+            }
+            None => exact = false,
+        }
+    }
+    (mask, value, exact)
 }
 
 /// Reusable register file for compiled evaluation. One per worker
@@ -474,10 +563,17 @@ impl CompiledExpr {
             n_regs: 0,
         };
         c.emit(&folded, 0)?;
+        let (lit_mask, lit_value, exact) = match layout {
+            Some(l) => literal_mask(&folded, l),
+            None => (0, 0, false),
+        };
         Ok(CompiledExpr {
             ops: c.ops,
             n_regs: c.n_regs,
             has_layout: layout.is_some(),
+            lit_mask,
+            lit_value,
+            exact,
         })
     }
 
@@ -492,13 +588,27 @@ impl CompiledExpr {
     }
 
     /// Evaluates against a packed word. Requires compilation with a
-    /// layout whose vocabulary produced the word.
-    #[inline]
+    /// layout whose vocabulary produced the word. The literal conjuncts'
+    /// mask test runs first: it decides a word that fails it (0) and,
+    /// when every conjunct is a literal test, every word.
+    #[inline(always)]
     pub fn eval_packed(&self, word: u64, scratch: &mut Scratch) -> i64 {
         debug_assert!(
             self.has_layout,
             "eval_packed on a compile_unpacked program (use eval_state)"
         );
+        if word & self.lit_mask != self.lit_value {
+            return 0;
+        }
+        if self.exact {
+            return 1;
+        }
+        self.run_packed(word, scratch)
+    }
+
+    /// The bytecode interpreter behind [`CompiledExpr::eval_packed`].
+    #[inline]
+    fn run_packed(&self, word: u64, scratch: &mut Scratch) -> i64 {
         scratch.ensure(self.n_regs);
         let regs = &mut scratch.regs[..];
         let mut pc = 0usize;
@@ -815,6 +925,9 @@ impl Compiler<'_> {
 pub struct CompiledCommand {
     guard: CompiledExpr,
     updates: Vec<CompiledUpdate>,
+    /// `(clear, set)` when every update writes an in-domain constant:
+    /// an enabled step is then `(word & !clear) | set`.
+    constant: Option<(u64, u64)>,
 }
 
 #[derive(Debug, Clone)]
@@ -829,18 +942,36 @@ impl CompiledCommand {
         command: &crate::command::Command,
         layout: &PackedLayout,
     ) -> Result<CompiledCommand, CompileError> {
-        Ok(CompiledCommand {
-            guard: CompiledExpr::compile(&command.guard, layout)?,
-            updates: command
-                .updates
-                .iter()
-                .map(|(x, e)| {
-                    Ok(CompiledUpdate {
-                        target: x.0,
-                        rhs: CompiledExpr::compile(e, layout)?,
-                    })
+        let guard = CompiledExpr::compile(&command.guard, layout)?;
+        let updates: Vec<CompiledUpdate> = command
+            .updates
+            .iter()
+            .map(|(x, e)| {
+                Ok(CompiledUpdate {
+                    target: x.0,
+                    rhs: CompiledExpr::compile(e, layout)?,
                 })
-                .collect::<Result<_, CompileError>>()?,
+            })
+            .collect::<Result<_, CompileError>>()?;
+        // A folded constant compiles to a single `Const`; one outside
+        // its domain keeps the checked path, whose domain guard skips.
+        let mut constant = Some((0u64, 0u64));
+        for u in &updates {
+            let v = u.target as usize;
+            constant = match (constant, u.rhs.ops()) {
+                (Some((clear, set)), [Op::Const { val, .. }]) => {
+                    layout.set_checked(0, v, *val).map(|w| {
+                        let field = layout.mask[v] << layout.shift[v];
+                        (clear | field, set | w)
+                    })
+                }
+                _ => None,
+            };
+        }
+        Ok(CompiledCommand {
+            guard,
+            updates,
+            constant,
         })
     }
 
@@ -848,11 +979,22 @@ impl CompiledCommand {
     /// [`Command::step`](crate::command::Command::step): guard false or
     /// any update leaving its domain means the word is returned
     /// unchanged.
-    #[inline]
+    #[inline(always)]
     pub fn step_packed(&self, word: u64, layout: &PackedLayout, scratch: &mut Scratch) -> u64 {
         if self.guard.eval_packed(word, scratch) == 0 {
             return word;
         }
+        if let Some((clear, set)) = self.constant {
+            return (word & !clear) | set;
+        }
+        self.write_updates(word, layout, scratch)
+    }
+
+    /// The checked update path behind [`CompiledCommand::step_packed`]:
+    /// right-hand sides evaluated in the pre-state, each written with
+    /// its domain guard.
+    #[inline]
+    fn write_updates(&self, word: u64, layout: &PackedLayout, scratch: &mut Scratch) -> u64 {
         // Evaluate all right-hand sides in the pre-state before writing.
         scratch.vals.clear();
         for u in &self.updates {
@@ -1080,6 +1222,77 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn literal_conjunctions_and_constant_updates_are_classified() {
+        let mut v = Vocabulary::new();
+        let e0 = v.declare("e0", Domain::Bool).unwrap();
+        let e1 = v.declare("e1", Domain::Bool).unwrap();
+        let x = v.declare("x", Domain::int_range(0, 4).unwrap()).unwrap();
+        let p = v.declare("p", Domain::Bool).unwrap();
+        let layout = PackedLayout::new(&v).unwrap();
+        // Decided by the mask test alone, pre-filtered by it, or neither.
+        let kind = |e: &Expr| {
+            let prog = CompiledExpr::compile(e, &layout).unwrap();
+            match (prog.exact, prog.lit_mask != 0) {
+                (true, _) => "exact",
+                (false, true) => "filtered",
+                (false, false) => "bytecode",
+            }
+        };
+        // A token-ring command: literal guard, constant updates.
+        let ring = Command::new(
+            "r0",
+            and2(var(e0), not(var(e1))),
+            vec![(e0, ff()), (e1, tt())],
+            &v,
+        )
+        .unwrap();
+        assert_eq!(kind(&ring.guard), "exact");
+        let cc = CompiledCommand::compile(&ring, &layout).unwrap();
+        assert!(cc.constant.is_some());
+        // A non-literal conjunct keeps the bytecode behind the filter.
+        assert_eq!(kind(&and2(lt(var(x), int(3)), var(p))), "filtered");
+        assert_eq!(kind(&lt(var(x), int(3))), "bytecode");
+        // Pins: `c == x`, `b <=> c`, out of domain, conflicting.
+        assert_eq!(
+            kind(&and(vec![eq(int(2), var(x)), iff(var(p), ff())])),
+            "exact"
+        );
+        let mut scratch = Scratch::new();
+        for never in [
+            eq(var(x), int(9)),
+            // Index 8 does not fit x's three bits; it must not spill
+            // into p's field and match `p`.
+            and2(eq(var(x), int(8)), var(p)),
+            and2(eq(var(x), int(1)), eq(var(x), int(2))),
+            and(vec![lt(var(x), int(4)), var(p), not(var(p))]),
+        ] {
+            assert_eq!(kind(&never), "exact", "{never:?}");
+            let prog = CompiledExpr::compile(&never, &layout).unwrap();
+            for s in StateSpaceIter::new(&v) {
+                assert_eq!(prog.eval_packed(layout.pack(&s), &mut scratch), 0);
+            }
+        }
+        // A computed update is not constant; neither is a constant
+        // outside its domain, which must keep the domain skip.
+        let inc = Command::new(
+            "inc",
+            lt(var(x), int(4)),
+            vec![(x, add(var(x), int(1)))],
+            &v,
+        )
+        .unwrap();
+        assert!(CompiledCommand::compile(&inc, &layout)
+            .unwrap()
+            .constant
+            .is_none());
+        let out = Command::new("out", tt(), vec![(x, int(7))], &v).unwrap();
+        assert!(CompiledCommand::compile(&out, &layout)
+            .unwrap()
+            .constant
+            .is_none());
     }
 
     #[test]

@@ -3,6 +3,13 @@
 //! evaluator (packed-word and state-slice forms) must agree with the
 //! tree-walking reference `eval` on **every** state, and compiled
 //! command steps must agree with `Command::step`.
+//!
+//! The literal-conjunction generators drive the packed evaluator's mask
+//! path: conjunctions of `b`, `!b`, `x == c`, `c == x` and `b <=> c`
+//! tests mixed with arbitrary conjuncts, constants inside and outside
+//! the domain (a `0..1` field and a singleton one included), repeated
+//! and conflicting pins, and commands whose updates are constants
+//! inside or outside their domains.
 
 use std::sync::Arc;
 
@@ -17,13 +24,16 @@ use unity_core::ident::{VarId, Vocabulary};
 use unity_core::state::StateSpaceIter;
 use unity_core::value::Value;
 
-/// Test vocabulary: x:int 0..4, y:int -3..3, p:bool, q:bool.
+/// Test vocabulary: x:int 0..4, y:int -3..3, p:bool, q:bool,
+/// z:int 0..1, k:int 5..5 (a singleton domain: a 0-bit field).
 fn vocab() -> Arc<Vocabulary> {
     let mut v = Vocabulary::new();
     v.declare("x", Domain::int_range(0, 4).unwrap()).unwrap();
     v.declare("y", Domain::int_range(-3, 3).unwrap()).unwrap();
     v.declare("p", Domain::Bool).unwrap();
     v.declare("q", Domain::Bool).unwrap();
+    v.declare("z", Domain::int_range(0, 1).unwrap()).unwrap();
+    v.declare("k", Domain::int_range(5, 5).unwrap()).unwrap();
     Arc::new(v)
 }
 
@@ -31,6 +41,8 @@ const X: VarId = VarId(0);
 const Y: VarId = VarId(1);
 const P: VarId = VarId(2);
 const Q: VarId = VarId(3);
+const Z: VarId = VarId(4);
+const K: VarId = VarId(5);
 
 fn arb_int_expr() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![(-4i64..=7).prop_map(int), Just(var(X)), Just(var(Y)),];
@@ -72,6 +84,66 @@ fn arb_bool_expr() -> impl Strategy<Value = Expr> {
             prop::collection::vec(inner, 0..3).prop_map(or),
         ]
     })
+}
+
+/// One literal test, its constant sometimes outside the domain, and
+/// sometimes with a domain index wider than its field (which must not
+/// spill into the next field's pin).
+fn arb_literal() -> impl Strategy<Value = Expr> {
+    prop_oneof![
+        Just(var(P)),
+        Just(var(Q)),
+        Just(not(var(P))),
+        Just(not(var(Q))),
+        (-2i64..=12).prop_map(|c| eq(var(X), int(c))),
+        (-5i64..=5).prop_map(|c| eq(int(c), var(Y))),
+        (-1i64..=3).prop_map(|c| eq(var(Z), int(c))),
+        (4i64..=6).prop_map(|c| eq(int(c), var(K))),
+        any::<bool>().prop_map(|c| iff(var(P), boolean(c))),
+        any::<bool>().prop_map(|c| iff(boolean(c), var(Q))),
+        any::<bool>().prop_map(|c| eq(var(Q), boolean(c))),
+    ]
+}
+
+/// A conjunction of literal tests and arbitrary conjuncts, as one n-ary
+/// `&&` or a left-nested chain of binary ones. Few variables, so pins
+/// of one field repeat and conflict often.
+fn arb_mask_conjunction() -> impl Strategy<Value = Expr> {
+    let conjunct = prop_oneof![arb_literal(), arb_literal(), arb_literal(), arb_bool_expr()];
+    (prop::collection::vec(conjunct, 1..5), any::<bool>()).prop_map(|(parts, nary)| {
+        if nary {
+            and(parts)
+        } else {
+            let mut it = parts.into_iter();
+            let first = it.next().expect("at least one conjunct");
+            it.fold(first, and2)
+        }
+    })
+}
+
+/// Updates of distinct variables: constants inside and outside their
+/// domains, or (sometimes) a computed right-hand side.
+fn arb_updates() -> impl Strategy<Value = Vec<(VarId, Expr)>> {
+    let x = prop_oneof![
+        (-1i64..=6).prop_map(int),
+        (-1i64..=6).prop_map(int),
+        Just(add(var(X), int(1))),
+    ];
+    let p = prop_oneof![Just(tt()), Just(ff()), Just(not(var(P)))];
+    let z = (-1i64..=2).prop_map(int);
+    let k = (4i64..=6).prop_map(int);
+    (
+        (any::<bool>(), x),
+        (any::<bool>(), p),
+        (any::<bool>(), z),
+        (any::<bool>(), k),
+    )
+        .prop_map(|(x, p, z, k)| {
+            [(X, x), (P, p), (Z, z), (K, k)]
+                .into_iter()
+                .filter_map(|(v, (keep, e))| keep.then_some((v, e)))
+                .collect()
+        })
 }
 
 fn as_i64(v: Value) -> i64 {
@@ -133,6 +205,39 @@ proptest! {
             let reference = cmd.step(&s, &v);
             let got = cc.step_packed(layout.pack(&s), &layout, &mut scratch);
             prop_assert_eq!(layout.unpack(got, &v), reference, "state {}", s.display(&v));
+        }
+    }
+
+    /// Literal conjunctions, decided by the mask test alone or
+    /// pre-filtered by it, agree with `eval` on every state.
+    #[test]
+    fn mask_tested_conjunctions_agree_with_eval(e in arb_mask_conjunction()) {
+        let v = vocab();
+        prop_assert!(e.infer_type(&v).is_ok());
+        assert_differential(&e, &v);
+    }
+
+    /// Commands with literal-conjunction guards and constant (or mixed)
+    /// updates agree with `Command::step` on every state, in both the
+    /// plain and the flat-index stepping forms.
+    #[test]
+    fn constant_update_commands_agree_with_step(
+        guard in arb_mask_conjunction(),
+        updates in arb_updates(),
+    ) {
+        let v = vocab();
+        let cmd = Command::new("c", guard, updates, &v).unwrap();
+        let layout = PackedLayout::new(&v).unwrap();
+        let cc = CompiledCommand::compile(&cmd, &layout).unwrap();
+        let mut scratch = Scratch::new();
+        for (flat, s) in StateSpaceIter::new(&v).enumerate() {
+            let reference = cmd.step(&s, &v);
+            let w = layout.pack(&s);
+            let got = cc.step_packed(w, &layout, &mut scratch);
+            prop_assert_eq!(layout.unpack(got, &v), reference, "state {}", s.display(&v));
+            let (w2, flat2) = cc.step_packed_flat(w, flat as u64, &layout, &mut scratch);
+            prop_assert_eq!(w2, got);
+            prop_assert_eq!(flat2, layout.flat_of_word(w2));
         }
     }
 

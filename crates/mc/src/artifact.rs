@@ -2,7 +2,7 @@
 //! artifacts.
 //!
 //! `unity-serve` keeps the expensive session artifacts — the packed
-//! [`TransitionSystem`](crate::transition::TransitionSystem) tables, the
+//! [`TransitionSystem`](crate::transition::TransitionSystem) move rows, the
 //! CSR [`PredIndex`](crate::pred::PredIndex), the tuned BDD field order
 //! — on disk, keyed by spec content hash, so a re-submitted spec only
 //! recomputes what actually changed. This module is the encoding layer
@@ -32,8 +32,10 @@ pub const SEGMENT_MAGIC: &[u8; 6] = b"UNISEG";
 /// Current segment format version. Bump on any payload layout change:
 /// old segments then decode as corrupt (a cache miss), never as
 /// garbage artifacts. Version 2 dropped the shard-base table from the
-/// transition-system payload.
-pub const SEGMENT_VERSION: u16 = 2;
+/// transition-system payload; version 3 replaced its dense successor
+/// table with move rows (stutters are not stored), and the predecessor
+/// index inverts only those moves.
+pub const SEGMENT_VERSION: u16 = 3;
 
 /// [`FxHasher`] digest of `bytes` — the segment integrity checksum.
 /// Non-cryptographic by design: it guards against torn writes and bit
@@ -344,15 +346,18 @@ mod tests {
 
     #[test]
     fn older_segment_versions_are_rejected() {
-        // A well-framed segment whose only fault is its version (1: the
-        // transition-system payload still carried shard bases) must read
-        // as a miss, not decode into a garbage artifact.
+        // A well-framed segment whose only fault is its version must
+        // read as a miss, not decode into a garbage artifact: 1 (the
+        // transition-system payload still carried shard bases) and 2
+        // (a dense successor table, stutters included).
         let payload = b"the artifact payload".to_vec();
-        let mut seg = encode_segment(3, &payload);
-        let at = SEGMENT_MAGIC.len();
-        seg[at..at + 2].copy_from_slice(&1u16.to_le_bytes());
-        let err = decode_segment(&seg).unwrap_err();
-        assert!(err.contains("segment version 1"), "{err}");
+        for old in [1u16, 2] {
+            let mut seg = encode_segment(3, &payload);
+            let at = SEGMENT_MAGIC.len();
+            seg[at..at + 2].copy_from_slice(&old.to_le_bytes());
+            let err = decode_segment(&seg).unwrap_err();
+            assert!(err.contains(&format!("segment version {old}")), "{err}");
+        }
     }
 
     #[test]

@@ -48,9 +48,10 @@ use crate::transition::{TransitionSystem, Universe};
 pub struct LeadsToReport {
     /// States explored.
     pub states: usize,
-    /// Transitions stored (the full successor table — the check itself
-    /// traverses only the `¬q` rows; see
-    /// [`LeadsToReport::scanned_states`]).
+    /// Transitions of the system, stutters included (states ×
+    /// commands). The system stores only the moves among them, and the
+    /// check itself traverses only the `¬q` rows; see
+    /// [`LeadsToReport::scanned_states`].
     pub transitions: usize,
     /// Number of SCCs in the `¬q` subgraph.
     pub sccs: usize,
@@ -60,7 +61,8 @@ pub struct LeadsToReport {
     /// check's cost scales with.
     pub scanned_states: usize,
     /// Predecessor edges walked by the backward worklist (0 on the
-    /// reference formulation, which has no predecessor index).
+    /// reference formulation, which has no predecessor index). The index
+    /// holds moves only, so a stutter is never walked.
     pub pred_edges: usize,
     /// States pushed onto the backward worklist, trap seeds included
     /// (0 on the reference formulation).
@@ -256,7 +258,10 @@ fn check_leadsto_worklist(
     // d-successor inside the component. (Trivial SCCs — single state whose
     // d-successors all leave or all equal itself — qualify iff the
     // self-loop condition holds for all d; with D empty every SCC is a trap
-    // because skip alone realizes a fair run.)
+    // because skip alone realizes a fair run.) A d that stutters at v
+    // has `succ_at(v, d) == v`, inside v's own component, so stutters
+    // need no storing for this test, nor for Tarjan, where a self-loop
+    // never changes a component.
     trap.clear();
     let mut traps = 0usize;
     for cid in 0..scc.comp_count() {

@@ -6,10 +6,13 @@
 //! the backward one from it means rescanning every row until quiescence
 //! — the `O(rounds · states · commands)` loop this index replaces.
 //!
-//! [`PredIndex`] inverts the successor table once into the standard CSR
+//! [`PredIndex`] inverts the move rows once into the standard CSR
 //! shape: one flat `offsets` array (length `n + 1`) and one flat
-//! `edges` array (one entry per stored transition) listing, for each
-//! state, the ids of the states with a command stepping onto it. Built
+//! `edges` array (one entry per move, a transition that changes the
+//! state) listing, for each state, the ids of the other states with a
+//! command stepping onto it. Stutters are not stored, so a state is
+//! never its own predecessor: the backward walks only ever look for
+//! states they have not marked yet, which a stutter never adds. Built
 //! once per [`TransitionSystem`] and memoized in the verifier session's
 //! `EngineCache` next to the reachable set, it turns each backward
 //! propagation into a worklist walk that touches only the rows it
@@ -27,29 +30,22 @@ use crate::parallel::ParConfig;
 use crate::transition::TransitionSystem;
 
 /// A CSR predecessor index: `row(v)` lists the source states of every
-/// stored transition landing on `v`.
+/// move landing on `v`.
 #[derive(Debug, Clone)]
 pub struct PredIndex {
     /// `edges[offsets[v] .. offsets[v + 1]]` are `v`'s predecessors.
     offsets: Vec<u32>,
-    /// Flat predecessor lists (one entry per stored transition).
+    /// Flat predecessor lists (one entry per move).
     edges: Vec<u32>,
 }
 
 impl PredIndex {
-    /// Inverts the successor table of `ts`. Cost: two passes over the
-    /// transitions, no hashing.
+    /// Inverts the move rows of `ts`. Cost: two passes over the moves,
+    /// no hashing.
     pub fn build(ts: &TransitionSystem) -> Self {
         let n = ts.len();
-        let m = ts.transition_count();
-        // Hard bound, not a debug assert: a wrapped u32 offset would
-        // corrupt rows silently and could flip a liveness verdict.
-        // (At the default `max_states` this needs ≥ 64 commands; the
-        // succ table itself is ≥ 16 GiB at that point.)
-        assert!(
-            m <= u32::MAX as usize,
-            "transition table ({m} edges) exceeds u32 predecessor offsets"
-        );
+        // The system's own row offsets are u32, so its moves fit them.
+        let m = ts.move_count();
         // Count in-degrees into offsets[1..], then prefix-sum.
         let mut offsets = vec![0u32; n + 1];
         for s in 0..n {
@@ -91,14 +87,14 @@ impl PredIndex {
         self.len() == 0
     }
 
-    /// Total number of stored predecessor edges (equals the transition
-    /// count of the indexed system).
+    /// Total number of stored predecessor edges (equals the move count
+    /// of the indexed system).
     pub fn edge_count(&self) -> usize {
         self.edges.len()
     }
 
     /// The predecessors of state `v`, ascending, one entry per command
-    /// stepping onto `v`.
+    /// moving onto `v` from another state.
     #[inline(always)]
     pub fn row(&self, v: u32) -> &[u32] {
         &self.edges[self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize]
@@ -136,7 +132,7 @@ impl PredIndex {
         }
         if edges.len() != n_edges {
             return Err(format!(
-                "edge array has {} entries, system has {n_edges} transitions",
+                "edge array has {} entries, system has {n_edges} moves",
                 edges.len()
             ));
         }
@@ -176,22 +172,43 @@ mod tests {
 
     #[test]
     fn inverts_the_successor_table_exactly() {
+        // The oracle is the reference step of every command from every
+        // state: each step that changes the state is one predecessor
+        // entry, and `succ_at` must name its target (the state itself
+        // for a stutter).
+        let mut v = Vocabulary::new();
+        let x = v.declare("x", Domain::int_range(0, 5).unwrap()).unwrap();
+        let b = v.declare("b", Domain::Bool).unwrap();
+        let p = Program::builder("mixed", Arc::new(v))
+            .init(and2(eq(var(x), int(0)), not(var(b))))
+            .fair_command("inc", lt(var(x), int(5)), vec![(x, add(var(x), int(1)))])
+            .fair_command("set", not(var(b)), vec![(b, tt())])
+            .command("reset", var(b), vec![(x, int(0)), (b, ff())])
+            .build()
+            .unwrap();
         for universe in [Universe::Reachable, Universe::AllStates] {
-            let p = counter(5);
-            let ts = TransitionSystem::build(&p, universe, &ScanConfig::default()).unwrap();
-            let pred = PredIndex::build(&ts);
-            assert_eq!(pred.len(), ts.len());
-            assert_eq!(pred.edge_count(), ts.transition_count());
-            // Every forward edge appears backward, and nothing else.
-            let mut expect: Vec<Vec<u32>> = vec![Vec::new(); ts.len()];
-            for s in 0..ts.len() {
-                for &w in ts.succ_row(s) {
-                    expect[w as usize].push(s as u32);
+            for cfg in [ScanConfig::default(), ScanConfig::reference()] {
+                let ts = TransitionSystem::build(&p, universe, &cfg).unwrap();
+                let pred = PredIndex::build(&ts);
+                assert_eq!(pred.len(), ts.len());
+                assert_eq!(pred.edge_count(), ts.move_count());
+                let id_of: std::collections::HashMap<_, u32> =
+                    (0..ts.len() as u32).map(|id| (ts.state(id), id)).collect();
+                let mut expect: Vec<Vec<u32>> = vec![Vec::new(); ts.len()];
+                for s in 0..ts.len() {
+                    let state = ts.state(s as u32);
+                    for (c, cmd) in p.commands.iter().enumerate() {
+                        let next = cmd.step(&state, &p.vocab);
+                        let w = id_of[&next];
+                        assert_eq!(ts.succ_at(s, c), w, "{universe:?} ({s}, {c})");
+                        if w as usize != s {
+                            expect[w as usize].push(s as u32);
+                        }
+                    }
                 }
-            }
-            for (v, row) in expect.iter_mut().enumerate() {
-                row.sort_unstable();
-                assert_eq!(pred.row(v as u32), row.as_slice(), "row {v}");
+                for (v, row) in expect.iter().enumerate() {
+                    assert_eq!(pred.row(v as u32), row.as_slice(), "{universe:?} row {v}");
+                }
             }
         }
     }
@@ -229,8 +246,7 @@ mod tests {
             let ts = TransitionSystem::build(&p, universe, &ScanConfig::default()).unwrap();
             let pred = PredIndex::build(&ts);
             let bytes = pred.to_artifact_bytes();
-            let back =
-                PredIndex::from_artifact_bytes(&bytes, ts.len(), ts.transition_count()).unwrap();
+            let back = PredIndex::from_artifact_bytes(&bytes, ts.len(), ts.move_count()).unwrap();
             assert_eq!(back.offsets, pred.offsets);
             assert_eq!(back.edges, pred.edges);
         }
@@ -242,7 +258,7 @@ mod tests {
         let ts = TransitionSystem::build(&p, Universe::Reachable, &ScanConfig::default()).unwrap();
         let pred = PredIndex::build(&ts);
         let bytes = pred.to_artifact_bytes();
-        let (n, m) = (ts.len(), ts.transition_count());
+        let (n, m) = (ts.len(), ts.move_count());
         // Shape disagreements.
         assert!(PredIndex::from_artifact_bytes(&bytes, n + 1, m).is_err());
         assert!(PredIndex::from_artifact_bytes(&bytes, n, m + 1).is_err());
@@ -262,8 +278,8 @@ mod tests {
 
     #[test]
     fn multi_command_duplicates_are_kept() {
-        // Two commands stepping onto the same target from the same
-        // source yield two entries.
+        // Two commands moving onto the same target from the same source
+        // yield two entries; their stutters at the target yield none.
         let mut v = Vocabulary::new();
         let x = v.declare("x", Domain::Bool).unwrap();
         let p = Program::builder("dup", Arc::new(v))
@@ -274,14 +290,17 @@ mod tests {
             .unwrap();
         let ts = TransitionSystem::build(&p, Universe::AllStates, &ScanConfig::default()).unwrap();
         let pred = PredIndex::build(&ts);
-        assert_eq!(pred.edge_count(), ts.transition_count());
-        // The x = true state receives both commands from both states.
+        assert_eq!(ts.transition_count(), 4);
+        assert_eq!(pred.edge_count(), ts.move_count());
+        assert_eq!(pred.edge_count(), 2);
         let target = (0..ts.len() as u32)
             .find(|&id| {
                 ts.state(id).get(unity_core::ident::VarId(0))
                     == unity_core::value::Value::Bool(true)
             })
             .unwrap();
-        assert_eq!(pred.row(target).len(), 4);
+        let source = 1 - target;
+        assert_eq!(pred.row(target), &[source, source]);
+        assert!(pred.row(source).is_empty());
     }
 }

@@ -128,6 +128,32 @@ fn split_blocks(src: &str) -> Result<(String, Vec<(String, Vec<(usize, String)>)
     Ok((program_src, specs))
 }
 
+/// Re-anchors an error in the property text of a check line to the
+/// file: the check's line, and the column of the offending token, or
+/// of the property's first character when the error carries no
+/// position (an unknown name, a type error). `prop_at` is the byte
+/// offset of the property text within the trimmed check line. Columns
+/// count bytes from 1, like the DSL lexer's. Runs only on the error
+/// path.
+fn check_error(src: &str, line_no: usize, name: &str, prop_at: usize, e: CoreError) -> CoreError {
+    let raw = src.lines().nth(line_no - 1).unwrap_or("");
+    let prop = &raw[raw.len() - raw.trim_start().len()..][prop_at..];
+    let prop_col = raw.len() - prop.len();
+    let (col, msg) = match e {
+        // A check line is one line, so the inner line is always 1.
+        CoreError::Parse { col, msg, .. } => (prop_col + col as usize, msg),
+        other => {
+            let lead = prop.len() - prop.trim_start().len();
+            (prop_col + lead + 1, other.to_string())
+        }
+    };
+    CoreError::Parse {
+        line: line_no.min(u32::MAX as usize) as u32,
+        col: col.min(u32::MAX as usize) as u32,
+        msg: format!("in check `{name}`: {msg}"),
+    }
+}
+
 /// Parses a full specification file and composes its programs.
 pub fn load_spec(src: &str) -> Result<SpecFile, CoreError> {
     let (program_src, spec_blocks) = split_blocks(src)?;
@@ -158,7 +184,7 @@ pub fn load_spec(src: &str) -> Result<SpecFile, CoreError> {
                 }
             };
             let property = dsl::parse_property(prop_text, &vocab)
-                .map_err(|e| parse_err(*line_no, format!("in check `{name}`: {e}")))?;
+                .map_err(|e| check_error(src, *line_no, &name, text.len() - prop_text.len(), e))?;
             checks.push(NamedCheck {
                 name,
                 property,
@@ -232,6 +258,61 @@ end
         let err = load_spec(src).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("mystery"), "{msg}");
+    }
+
+    /// Two program blocks, a comment, two spec blocks: the error points
+    /// at the check's line and the token's column in the file.
+    fn located(check: &str) -> String {
+        let src = format!(
+            "program A\n  var x : bool\n  init !x\nend\n\nspec S\n  ok: stable x\nend\n\
+             program B\n  var y : int 0..3\n  init y == 0\nend\n\
+             // the second spec block\nspec T\n  ok2: invariant y <= 3\n{check}\nend\n"
+        );
+        load_spec(&src).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn check_errors_point_at_the_token_in_the_file() {
+        // Line 16; `&&` at column 16.
+        assert_eq!(
+            located("  w: stable (x &&"),
+            "parse error at 16:16: in check `w`: expected expression, found end of input"
+        );
+        // An unlabeled check, indented by a tab: `)` at column 14.
+        assert_eq!(
+            located("\tstable x && )"),
+            "parse error at 16:14: in check `check1`: expected expression, found RParen"
+        );
+        // No token position (an unknown name): the property's first
+        // column.
+        assert_eq!(
+            located("  bad:   invariant zz"),
+            "parse error at 16:10: in check `bad`: unknown variable `zz`"
+        );
+    }
+
+    #[test]
+    fn nesting_refusals_point_at_the_token_in_the_file() {
+        let depth = unity_core::dsl::parser::MAX_DEPTH;
+        // The parser refuses at the parenthesis one level past the
+        // limit: column 2 + len("deep: invariant ") + depth + 1.
+        let check = format!(
+            "  deep: invariant {}x{}",
+            "(".repeat(depth + 1),
+            ")".repeat(depth + 1)
+        );
+        let msg = std::thread::Builder::new()
+            .stack_size(8 << 20)
+            .spawn(move || located(&check))
+            .unwrap()
+            .join()
+            .unwrap();
+        let col = 2 + "deep: invariant ".len() + depth + 1;
+        assert!(
+            msg.starts_with(&format!("parse error at 16:{col}: in check `deep`: ")),
+            "{msg}"
+        );
+        assert!(msg.contains("nested deeper than"), "{msg}");
     }
 
     #[test]

@@ -248,12 +248,13 @@ fn synthesize_on(
             // Refine: every command must keep X inside X ∪ U. Worklist
             // over the predecessor index: check each candidate once,
             // and when a state falls out of X re-examine only its
-            // predecessors still in X — not the whole space again.
+            // predecessors still in X — not the whole space again. A
+            // command stuttering at a state of X keeps it in X, so only
+            // the moves can escape.
             let escapes = |s: usize, in_x: &[bool]| {
-                (0..ts.n_commands).any(|c| {
-                    let t = ts.succ_at(s, c) as usize;
-                    !in_x[t] && !in_u[t]
-                })
+                ts.succ_row(s)
+                    .iter()
+                    .any(|&t| !in_x[t as usize] && !in_u[t as usize])
             };
             let mut queue: Vec<u32> = (0..n as u32).filter(|&s| in_x[s as usize]).collect();
             while let Some(s) = queue.pop() {

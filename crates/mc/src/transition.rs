@@ -1,10 +1,16 @@
 //! Labeled transition systems of programs.
 //!
-//! States are interned into dense ids; for each state and each explicit
-//! command we store the unique successor id (commands are total functions —
-//! guard or domain failure means "stay put"). The implicit `skip` is the
-//! identity on every state and is left implicit here too; the fairness
-//! analysis accounts for it.
+//! States are interned into dense ids. Commands are total functions:
+//! a command whose guard is false, or whose update would leave a
+//! domain, acts as `skip` and leaves the state unchanged. `stable`,
+//! `invariant` and `leadsto` cannot tell such a stutter from no step,
+//! so the system stores only **moves**, the command steps that change
+//! the state, as one row of `(command, target)` pairs per state. A
+//! command missing from a row stutters there, exactly like the implicit
+//! `skip`, which is never stored either. Only the accessors below know
+//! this: [`TransitionSystem::succ_at`] returns the state itself for a
+//! stutter, and [`TransitionSystem::succ_row`] lists the move targets
+//! in command order.
 
 use std::sync::Arc;
 
@@ -62,19 +68,148 @@ pub struct TransitionSystem {
     vocab: Arc<Vocabulary>,
     /// State storage (packed on the compiled path).
     store: StateStore,
-    /// Successor table, row-major: the post-state of command `c` from
-    /// state `s` is `succ[s * n_commands + c]`. One flat allocation
-    /// instead of a `Vec` per state — access through
-    /// [`TransitionSystem::succ_row`] / [`TransitionSystem::succ_at`].
-    succ: Vec<u32>,
+    /// The moves, one row per state.
+    moves: MoveRows,
     /// Ids of initial states.
     pub init: Vec<u32>,
-    /// Number of explicit commands (the row stride of `succ`).
+    /// Number of explicit commands.
     pub n_commands: usize,
     /// Indices (into commands) of the weakly-fair subset `D`.
     pub fair: Vec<usize>,
     /// Cost accounting for the construction (wall time).
     build: BuildStats,
+}
+
+/// Move rows: the moves of state `s` are entries `spans[s].0 ..
+/// spans[s].1` of `targets` and `commands`, commands ascending.
+/// Stutters are not stored. The reachable builder writes rows in
+/// expansion order, which is not id order, so each state keeps its own
+/// span; segments store the rows in id order.
+#[derive(Debug, Clone, Default)]
+struct MoveRows {
+    /// The `(start, end)` of each state's row.
+    spans: Vec<(u32, u32)>,
+    /// The post-state of each move.
+    targets: Vec<u32>,
+    /// The command of each move.
+    commands: Vec<u32>,
+}
+
+impl MoveRows {
+    /// Records a move of command `c` onto `target` in the open row.
+    #[inline(always)]
+    fn push(&mut self, c: usize, target: u32) {
+        self.targets.push(target);
+        // Lossless: `TransitionSystem::build` refuses programs whose
+        // command count does not fit a `u32`.
+        self.commands.push(c as u32);
+    }
+
+    /// The end of the open row.
+    #[inline]
+    fn end(&self) -> Result<u32, McError> {
+        u32::try_from(self.targets.len()).map_err(|_| too_many_moves())
+    }
+
+    /// Closes the open row as the next state's, in id order.
+    #[inline]
+    fn close_row(&mut self) -> Result<(), McError> {
+        let lo = self.spans.last().map_or(0, |&(_, hi)| hi);
+        let hi = self.end()?;
+        self.spans.push((lo, hi));
+        Ok(())
+    }
+
+    /// Appends the rows of the next states, built elsewhere.
+    fn append(&mut self, part: MoveRows) -> Result<(), McError> {
+        let base = self.end()?;
+        for (lo, hi) in part.spans {
+            let shift = |k: u32| base.checked_add(k).ok_or_else(too_many_moves);
+            self.spans.push((shift(lo)?, shift(hi)?));
+        }
+        self.targets.extend_from_slice(&part.targets);
+        self.commands.extend_from_slice(&part.commands);
+        Ok(())
+    }
+
+    /// The span of state `s`'s row.
+    #[inline(always)]
+    fn span(&self, s: usize) -> std::ops::Range<usize> {
+        let (lo, hi) = self.spans[s];
+        lo as usize..hi as usize
+    }
+
+    /// Writes the rows in state-id order as CSR: the row offsets
+    /// (`n + 1` of them), then every target, then every command.
+    fn write(&self, w: &mut crate::artifact::ByteWriter) {
+        let n = self.spans.len();
+        w.u64(n as u64 + 1);
+        let mut at = 0u32;
+        w.u32(at);
+        for s in 0..n {
+            // The rows partition the moves, so every offset fits.
+            at += self.span(s).len() as u32;
+            w.u32(at);
+        }
+        for column in [&self.targets, &self.commands] {
+            w.u64(column.len() as u64);
+            for s in 0..n {
+                for &v in &column[self.span(s)] {
+                    w.u32(v);
+                }
+            }
+        }
+    }
+
+    /// Reads what [`MoveRows::write`] wrote, for a system of `n` states
+    /// and `n_commands` commands. Refused: offsets that do not ascend
+    /// from 0 to the move count, and rows whose commands are not
+    /// strictly ascending below `n_commands` or whose targets are out
+    /// of range or the row's own state.
+    fn read(
+        r: &mut crate::artifact::ByteReader<'_>,
+        n: usize,
+        n_commands: usize,
+    ) -> Result<Self, String> {
+        let row = r.u32_vec()?;
+        let targets = r.u32_vec()?;
+        let commands = r.u32_vec()?;
+        if n.checked_add(1) != Some(row.len())
+            || row[0] != 0
+            || row.windows(2).any(|w| w[0] > w[1])
+            || row[n] as usize != targets.len()
+            || commands.len() != targets.len()
+        {
+            return Err("move offsets disagree with the move count".into());
+        }
+        let spans: Vec<(u32, u32)> = row.windows(2).map(|w| (w[0], w[1])).collect();
+        for (s, &(lo, hi)) in spans.iter().enumerate() {
+            let (lo, hi) = (lo as usize, hi as usize);
+            let row_commands = &commands[lo..hi];
+            if row_commands.windows(2).any(|w| w[0] >= w[1])
+                || row_commands.iter().any(|&c| c as usize >= n_commands)
+            {
+                return Err(format!(
+                    "state {s}: move commands not strictly ascending below {n_commands}"
+                ));
+            }
+            if targets[lo..hi]
+                .iter()
+                .any(|&t| t as usize >= n || t as usize == s)
+            {
+                return Err(format!("state {s}: move target out of range or a stutter"));
+            }
+        }
+        Ok(MoveRows {
+            spans,
+            targets,
+            commands,
+        })
+    }
+}
+
+fn too_many_moves() -> McError {
+    McError::Message("transition system exceeds 2^32 moves".into())
 }
 
 /// The packed words of the initial states, in canonical (ascending flat
@@ -96,6 +231,40 @@ fn collect_init_words(program: &Program, cp: &CompiledProgram) -> Vec<u64> {
     words
 }
 
+/// The initial ids and move rows of full-product states `lo .. hi`,
+/// spans relative to `lo`'s row. The successor's flat id comes
+/// from the incremental weighted-delta encoding: O(updates), not
+/// O(vars).
+fn all_packed_rows(
+    cp: &CompiledProgram,
+    all_vars: &[unity_core::ident::VarId],
+    lo: u64,
+    hi: u64,
+) -> Result<(Vec<u32>, MoveRows), McError> {
+    let layout = &cp.layout;
+    let mut scratch = Scratch::new();
+    let mut cursor = layout
+        .support_cursor(all_vars, lo)
+        .expect("space_size checked by caller");
+    let mut init = Vec::new();
+    let mut moves = MoveRows::default();
+    for id in lo..hi {
+        let w = cursor.word();
+        for (c, cc) in cp.commands.iter().enumerate() {
+            let (next, flat) = cc.step_packed_flat(w, id, layout, &mut scratch);
+            if next != w {
+                moves.push(c, flat as u32);
+            }
+        }
+        moves.close_row()?;
+        if cp.init.eval_packed_bool(w, &mut scratch) {
+            init.push(id as u32);
+        }
+        cursor.advance(layout);
+    }
+    Ok((init, moves))
+}
+
 impl TransitionSystem {
     /// Builds the transition system of `program` over the chosen universe.
     ///
@@ -107,6 +276,12 @@ impl TransitionSystem {
     /// [`TransitionSystem::build_stats`].
     pub fn build(program: &Program, universe: Universe, cfg: &ScanConfig) -> Result<Self, McError> {
         let t0 = std::time::Instant::now();
+        if u32::try_from(program.commands.len()).is_err() {
+            return Err(McError::Message(format!(
+                "{} commands exceed the u32 command index",
+                program.commands.len()
+            )));
+        }
         let mut ts = match universe {
             Universe::Reachable => Self::build_reachable(program, cfg),
             Universe::AllStates => Self::build_all(program, cfg),
@@ -118,12 +293,10 @@ impl TransitionSystem {
     fn build_reachable(program: &Program, cfg: &ScanConfig) -> Result<Self, McError> {
         crate::space::space_size(&program.vocab, cfg)?;
         if let Some(cp) = CompiledProgram::try_compile(program, cfg) {
-            return Ok(Self::build_reachable_packed(program, cp));
+            return Self::build_reachable_packed(program, cp);
         }
-        let n_commands = program.commands.len();
         let mut index: FxHashMap<State, u32> = FxHashMap::default();
         let mut states: Vec<State> = Vec::new();
-        let mut succ: Vec<u32> = Vec::new();
         let mut frontier: Vec<u32> = Vec::new();
 
         let intern = |s: State,
@@ -148,29 +321,29 @@ impl TransitionSystem {
         init.sort_unstable();
         init.dedup();
 
+        // Rows are produced out of id order, exactly like the packed
+        // path: each expansion appends its moves and records its span.
+        let mut moves = MoveRows::default();
         while let Some(id) = frontier.pop() {
-            // Rows may be produced out of id order (interning extends
-            // `states`); the flat table is grown with placeholder zeros
-            // and written in place, exactly like the packed path — no
-            // per-state row allocation or final flatten.
             let state = states[id as usize].clone();
-            let at = id as usize * n_commands;
-            if succ.len() < at + n_commands {
-                succ.resize(at + n_commands, 0);
-            }
+            let lo = moves.end()?;
             for (c, cmd) in program.commands.iter().enumerate() {
                 let next = cmd.step(&state, &program.vocab);
-                let nid = intern(next, &mut states, &mut index, &mut frontier);
-                succ[at + c] = nid;
+                if next != state {
+                    let nid = intern(next, &mut states, &mut index, &mut frontier);
+                    moves.push(c, nid);
+                }
             }
+            let hi = moves.end()?;
+            moves.spans.resize(states.len(), (0, 0));
+            moves.spans[id as usize] = (lo, hi);
         }
-        succ.resize(states.len() * n_commands, 0);
         Ok(TransitionSystem {
             vocab: program.vocab.clone(),
             store: StateStore::Explicit(states),
-            succ,
+            moves,
             init,
-            n_commands,
+            n_commands: program.commands.len(),
             fair: program.fair.iter().copied().collect(),
             build: BuildStats::default(),
         })
@@ -180,13 +353,13 @@ impl TransitionSystem {
     /// integer-keyed table (no per-probe hashing of value slices) and
     /// successors come from compiled command steps. Ids follow discovery
     /// order, but the last discovered state is expanded first, so they
-    /// are not breadth-first. Explicit [`State`]s are decoded on demand.
-    fn build_reachable_packed(program: &Program, cp: CompiledProgram) -> Self {
-        let n_commands = program.commands.len();
+    /// are not breadth-first. A stutter is a step that returns its own
+    /// word; it is neither interned nor stored. Explicit [`State`]s are
+    /// decoded on demand.
+    fn build_reachable_packed(program: &Program, cp: CompiledProgram) -> Result<Self, McError> {
         let layout = &cp.layout;
         let mut index: FxHashMap<u64, u32> = FxHashMap::default();
         let mut words: Vec<u64> = Vec::new();
-        let mut succ: Vec<u32> = Vec::new();
         let mut frontier: Vec<u32> = Vec::new();
 
         let intern = |w: u64,
@@ -210,58 +383,60 @@ impl TransitionSystem {
         init.sort_unstable();
         init.dedup();
 
+        // Each interned id enters the frontier exactly once, so each row
+        // is written exactly once, in expansion order, and found through
+        // its span.
         let mut scratch = Scratch::new();
+        let mut moves = MoveRows::default();
         while let Some(id) = frontier.pop() {
-            // Each interned id enters the frontier exactly once, so each
-            // row is written exactly once (possibly out of id order —
-            // the flat table is grown with placeholder zeros and written
-            // in place).
             let w = words[id as usize];
-            let at = id as usize * n_commands;
-            if succ.len() < at + n_commands {
-                succ.resize(at + n_commands, 0);
-            }
+            let lo = moves.end()?;
             for (c, cc) in cp.commands.iter().enumerate() {
                 let next = cc.step_packed(w, layout, &mut scratch);
-                succ[at + c] = intern(next, &mut words, &mut index, &mut frontier);
+                if next != w {
+                    moves.push(c, intern(next, &mut words, &mut index, &mut frontier));
+                }
             }
+            let hi = moves.end()?;
+            moves.spans.resize(words.len(), (0, 0));
+            moves.spans[id as usize] = (lo, hi);
         }
-        succ.resize(words.len() * n_commands, 0);
 
-        TransitionSystem {
+        Ok(TransitionSystem {
             vocab: program.vocab.clone(),
-            succ,
+            moves,
             init,
-            n_commands,
+            n_commands: program.commands.len(),
             fair: program.fair.iter().copied().collect(),
             build: BuildStats::default(),
             store: StateStore::PackedWords {
                 layout: cp.layout,
                 words,
             },
-        }
+        })
     }
 
     fn build_all(program: &Program, cfg: &ScanConfig) -> Result<Self, McError> {
         let n = crate::space::space_size(&program.vocab, cfg)?;
         if let Some(cp) = CompiledProgram::try_compile(program, cfg) {
-            return Ok(Self::build_all_packed(program, cp, n, cfg));
+            return Self::build_all_packed(program, cp, n, cfg);
         }
-        let n_commands = program.commands.len();
         let vocab = &program.vocab;
         let mut states = Vec::with_capacity(n as usize);
         for flat in 0..n {
             states.push(StateSpaceIter::decode(vocab, flat));
         }
-        let mut succ: Vec<u32> = Vec::with_capacity(n as usize * n_commands);
+        let mut moves = MoveRows::default();
         let mut init = Vec::new();
         for (id, s) in states.iter().enumerate() {
-            for c in &program.commands {
-                let next = c.step(s, vocab);
-                succ.push(
-                    StateSpaceIter::encode(vocab, &next).expect("in-domain successor") as u32,
-                );
+            for (c, cmd) in program.commands.iter().enumerate() {
+                let next = cmd.step(s, vocab);
+                if next != *s {
+                    let flat = StateSpaceIter::encode(vocab, &next).expect("in-domain successor");
+                    moves.push(c, flat as u32);
+                }
             }
+            moves.close_row()?;
             if program.satisfies_init(s) {
                 init.push(id as u32);
             }
@@ -269,9 +444,9 @@ impl TransitionSystem {
         Ok(TransitionSystem {
             vocab: program.vocab.clone(),
             store: StateStore::Explicit(states),
-            succ,
+            moves,
             init,
-            n_commands,
+            n_commands: program.commands.len(),
             fair: program.fair.iter().copied().collect(),
             build: BuildStats::default(),
         })
@@ -283,36 +458,21 @@ impl TransitionSystem {
     /// arithmetic — no hashing, no per-state allocation in the scan loop.
     /// With multiple workers the rows fill chunk-parallel (the id ↔ word
     /// map is pure arithmetic, so the output is bit-identical).
-    fn build_all_packed(program: &Program, cp: CompiledProgram, n: u64, cfg: &ScanConfig) -> Self {
+    fn build_all_packed(
+        program: &Program,
+        cp: CompiledProgram,
+        n: u64,
+        cfg: &ScanConfig,
+    ) -> Result<Self, McError> {
         let n_commands = program.commands.len();
         if cfg.par.threads > 1 && n_commands > 0 && n >= cfg.par.sequential_cutoff {
             return Self::build_all_packed_par(program, cp, n, &cfg.par);
         }
-        let layout = &cp.layout;
-        let vocab = &program.vocab;
-        let mut scratch = Scratch::new();
-        let all_vars: Vec<_> = vocab.ids().collect();
-        let mut cursor = layout
-            .support_cursor(&all_vars, 0)
-            .expect("space_size checked by caller");
-        let mut succ: Vec<u32> = Vec::with_capacity(n as usize * n_commands);
-        let mut init = Vec::new();
-        for id in 0..n {
-            let w = cursor.word();
-            for cc in &cp.commands {
-                // The successor's flat id comes from the incremental
-                // weighted-delta encoding — O(updates), not O(vars).
-                let (_, flat) = cc.step_packed_flat(w, id, layout, &mut scratch);
-                succ.push(flat as u32);
-            }
-            if cp.init.eval_packed_bool(w, &mut scratch) {
-                init.push(id as u32);
-            }
-            cursor.advance(layout);
-        }
-        TransitionSystem {
+        let all_vars: Vec<_> = program.vocab.ids().collect();
+        let (init, moves) = all_packed_rows(&cp, &all_vars, 0, n)?;
+        Ok(TransitionSystem {
             vocab: program.vocab.clone(),
-            succ,
+            moves,
             init,
             n_commands,
             fair: program.fair.iter().copied().collect(),
@@ -321,58 +481,47 @@ impl TransitionSystem {
                 layout: cp.layout,
                 n: n as usize,
             },
-        }
+        })
     }
 
     /// Chunk-parallel form of [`TransitionSystem::build_all_packed`]:
-    /// workers claim row-aligned windows of the flat table, each with
-    /// its own scratch registers and mixed-radix cursor seeked to the
-    /// window start. Init ids are collected per chunk and stitched in
-    /// ascending order, so the whole system is bit-identical to the
-    /// sequential construction.
+    /// workers claim windows of rows, each with its own scratch
+    /// registers and mixed-radix cursor seeked to the window start.
+    /// Windows are stitched in ascending order, so the whole system is
+    /// bit-identical to the sequential construction.
     fn build_all_packed_par(
         program: &Program,
         cp: CompiledProgram,
         n: u64,
         par: &ParConfig,
-    ) -> Self {
+    ) -> Result<Self, McError> {
         let n_commands = program.commands.len();
-        let layout = &cp.layout;
         let all_vars: Vec<_> = program.vocab.ids().collect();
-        let mut succ = vec![0u32; n as usize * n_commands];
-        let init_chunks: parking_lot::Mutex<Vec<(u64, Vec<u32>)>> =
-            parking_lot::Mutex::new(Vec::new());
-        let chunk = (RANGE_CHUNK as usize / n_commands).max(1) * n_commands;
-        par_chunks(&mut succ, chunk, par, |lo, out| {
-            let row0 = lo / n_commands as u64;
-            let rows = out.len() / n_commands;
-            let mut scratch = Scratch::new();
-            let mut cursor = layout
-                .support_cursor(&all_vars, row0)
-                .expect("space_size checked by caller");
-            let mut init_ids = Vec::new();
-            for r in 0..rows {
-                let id = row0 + r as u64;
-                let w = cursor.word();
-                for (c, cc) in cp.commands.iter().enumerate() {
-                    let (_, flat) = cc.step_packed_flat(w, id, layout, &mut scratch);
-                    out[r * n_commands + c] = flat as u32;
-                }
-                if cp.init.eval_packed_bool(w, &mut scratch) {
-                    init_ids.push(id as u32);
-                }
-                cursor.advance(layout);
-            }
-            if !init_ids.is_empty() {
-                init_chunks.lock().push((row0, init_ids));
-            }
-        });
-        let mut chunks = init_chunks.into_inner();
-        chunks.sort_unstable_by_key(|&(lo, _)| lo);
-        let init: Vec<u32> = chunks.into_iter().flat_map(|(_, v)| v).collect();
-        TransitionSystem {
+        let window = (RANGE_CHUNK / n_commands as u64).max(1);
+        let mut parts: Vec<Result<(Vec<u32>, MoveRows), McError>> = (0..n.div_ceil(window))
+            .map(|_| Ok(Default::default()))
+            .collect();
+        // One slot per window: the slot count is far below the state
+        // count the caller compared with the cutoff.
+        par_chunks(
+            &mut parts,
+            1,
+            &ParConfig::with_threads(par.threads),
+            |k, slot| {
+                let lo = k * window;
+                slot[0] = all_packed_rows(&cp, &all_vars, lo, (lo + window).min(n));
+            },
+        );
+        let mut init = Vec::new();
+        let mut moves = MoveRows::default();
+        for part in parts {
+            let (ids, rows) = part?;
+            init.extend(ids);
+            moves.append(rows)?;
+        }
+        Ok(TransitionSystem {
             vocab: program.vocab.clone(),
-            succ,
+            moves,
             init,
             n_commands,
             fair: program.fair.iter().copied().collect(),
@@ -381,7 +530,7 @@ impl TransitionSystem {
                 layout: cp.layout,
                 n: n as usize,
             },
-        }
+        })
     }
 
     /// Number of states.
@@ -502,9 +651,16 @@ impl TransitionSystem {
         out
     }
 
-    /// Total number of stored transitions.
+    /// Number of transitions, stutters included: states × commands.
+    /// The system stores only the [`TransitionSystem::move_count`] of
+    /// them that change the state.
     pub fn transition_count(&self) -> usize {
-        self.succ.len()
+        self.len().saturating_mul(self.n_commands)
+    }
+
+    /// Number of stored moves: transitions that change the state.
+    pub fn move_count(&self) -> usize {
+        self.moves.targets.len()
     }
 
     /// Cost accounting for how this system was built (wall time).
@@ -512,16 +668,32 @@ impl TransitionSystem {
         &self.build
     }
 
-    /// The successor row of state `s` (one entry per command).
+    /// The targets of state `s`'s moves, in command order. A command
+    /// that stutters at `s` has no entry.
     #[inline(always)]
     pub fn succ_row(&self, s: usize) -> &[u32] {
-        &self.succ[s * self.n_commands..(s + 1) * self.n_commands]
+        &self.moves.targets[self.moves.span(s)]
     }
 
-    /// The successor of state `s` under command `c`.
+    /// The commands of state `s`'s moves, strictly ascending, entry for
+    /// entry with [`TransitionSystem::succ_row`].
     #[inline(always)]
+    pub fn move_commands(&self, s: usize) -> &[u32] {
+        &self.moves.commands[self.moves.span(s)]
+    }
+
+    /// The successor of state `s` under command `c`: `s` itself when
+    /// `c` stutters there.
+    #[inline]
     pub fn succ_at(&self, s: usize, c: usize) -> u32 {
-        self.succ[s * self.n_commands + c]
+        let span = self.moves.span(s);
+        match self.moves.commands[span.clone()]
+            .iter()
+            .position(|&k| k as usize == c)
+        {
+            Some(k) => self.moves.targets[span.start + k],
+            None => s as u32,
+        }
     }
 
     /// The ids along a shortest path from one of `roots` to a state
@@ -586,8 +758,8 @@ impl TransitionSystem {
     /// (see [`crate::artifact`] for the framing).
     ///
     /// Only the packed stores serialize — their state set is a `u64`
-    /// word list (or pure arithmetic), so the payload is the flat
-    /// tables verbatim. The explicit store (oversized vocabularies,
+    /// word list (or pure arithmetic), so the payload is the word list
+    /// and the move rows verbatim. The explicit store (oversized vocabularies,
     /// reference builders) returns `None`; those systems are rebuilt
     /// instead of cached, exactly like an uncompilable program skips
     /// the fast path.
@@ -615,7 +787,7 @@ impl TransitionSystem {
         w.u32_slice(&self.init);
         let fair: Vec<u32> = self.fair.iter().map(|&c| c as u32).collect();
         w.u32_slice(&fair);
-        w.u32_slice(&self.succ);
+        self.moves.write(&mut w);
         Some(w.into_vec())
     }
 
@@ -627,8 +799,11 @@ impl TransitionSystem {
     /// about the vocabulary.
     ///
     /// Every id is bounds-checked; a payload that disagrees with the
-    /// program (command count, universe size, out-of-range ids) is an
-    /// error, which the store treats as a cache miss.
+    /// program (command count, universe size, out-of-range ids) or
+    /// whose move rows are malformed (offsets that disagree with the
+    /// move count, commands not strictly ascending below the command
+    /// count, a move onto its own state) is an error, which the store
+    /// treats as a cache miss.
     pub fn from_artifact_bytes(
         program: &Program,
         cfg: &ScanConfig,
@@ -669,19 +844,9 @@ impl TransitionSystem {
         };
         let init = r.u32_vec()?;
         let fair_raw = r.u32_vec()?;
-        let succ = r.u32_vec()?;
+        let moves = MoveRows::read(&mut r, n, n_commands)?;
         r.finish()?;
-        if succ.len() != n * n_commands {
-            return Err(format!(
-                "successor table has {} entries, expected {}",
-                succ.len(),
-                n * n_commands
-            ));
-        }
         let bound = n as u32;
-        if succ.iter().any(|&id| id >= bound) {
-            return Err("successor id out of range".into());
-        }
         if init.iter().any(|&id| id >= bound) {
             return Err("initial-state id out of range".into());
         }
@@ -691,7 +856,7 @@ impl TransitionSystem {
         Ok(TransitionSystem {
             vocab: program.vocab.clone(),
             store,
-            succ,
+            moves,
             init,
             n_commands,
             fair: fair_raw.into_iter().map(|c| c as usize).collect(),
@@ -816,7 +981,7 @@ mod tests {
             let back = TransitionSystem::from_artifact_bytes(&p, &cfg, &bytes).unwrap();
             assert_eq!(back.len(), ts.len(), "{universe:?}");
             assert_eq!(back.init, ts.init);
-            assert_eq!(back.succ, ts.succ);
+            assert_eq!(Csr::of(&back), Csr::of(&ts));
             assert_eq!(back.fair, ts.fair);
             assert_eq!(back.n_commands, ts.n_commands);
             // States decode identically (word list / range arithmetic).
@@ -832,7 +997,15 @@ mod tests {
 
     #[test]
     fn artifact_decode_rejects_corruption() {
-        let p = counter(9);
+        // x in 0..9 stepping up and down: interior rows hold two moves.
+        let mut v = Vocabulary::new();
+        let x = v.declare("x", Domain::int_range(0, 9).unwrap()).unwrap();
+        let p = Program::builder("updown", Arc::new(v))
+            .init(eq(var(x), int(0)))
+            .fair_command("inc", lt(var(x), int(9)), vec![(x, add(var(x), int(1)))])
+            .fair_command("dec", gt(var(x), int(0)), vec![(x, sub(var(x), int(1)))])
+            .build()
+            .unwrap();
         let cfg = ScanConfig::default();
         let ts = TransitionSystem::build(&p, Universe::Reachable, &cfg).unwrap();
         let bytes = ts.to_artifact_bytes().unwrap();
@@ -852,15 +1025,90 @@ mod tests {
         let mut bad = bytes.clone();
         bad[1..5].copy_from_slice(&7u32.to_le_bytes());
         assert!(TransitionSystem::from_artifact_bytes(&p, &cfg, &bad).is_err());
-        // An out-of-range successor id fails.
-        let mut bad = bytes.clone();
-        let at = bad.len() - 4;
-        bad[at..].copy_from_slice(&(ts.len() as u32).to_le_bytes());
-        assert!(TransitionSystem::from_artifact_bytes(&p, &cfg, &bad).is_err());
+        // Malformed move rows fail: each mutation below breaks one rule
+        // of the row format.
+        type Mutation = (&'static str, fn(&mut Csr));
+        let malformed: [Mutation; 7] = [
+            ("target out of range", |m| m.targets[0] = 10),
+            ("commands not strictly ascending", |m| {
+                let s = (0..m.row.len() - 1)
+                    .find(|&s| m.row[s + 1] - m.row[s] == 2)
+                    .unwrap();
+                m.commands.swap(m.row[s] as usize, m.row[s] as usize + 1);
+            }),
+            ("move onto its own state", |m| {
+                let s = (0..m.row.len() - 1)
+                    .find(|&s| m.row[s] < m.row[s + 1])
+                    .unwrap();
+                m.targets[m.row[s] as usize] = s as u32;
+            }),
+            ("command out of range", |m| m.commands[0] = 2),
+            ("offsets disagree with the move count", |m| {
+                *m.row.last_mut().unwrap() += 1;
+            }),
+            ("offsets descend", |m| m.row[1] = 0),
+            ("commands and targets differ in length", |m| {
+                m.commands.push(0);
+            }),
+        ];
+        let csr = Csr::of(&ts);
+        assert_eq!(csr.payload(&ts), bytes, "the test encoding is the real one");
+        for (what, mutate) in malformed {
+            let mut bad = csr.clone();
+            mutate(&mut bad);
+            assert!(
+                TransitionSystem::from_artifact_bytes(&p, &cfg, &bad.payload(&ts)).is_err(),
+                "{what}"
+            );
+        }
         // The reference (explicit) store does not serialize.
         let ts_ref =
             TransitionSystem::build(&p, Universe::Reachable, &ScanConfig::reference()).unwrap();
         assert!(ts_ref.to_artifact_bytes().is_none());
+    }
+
+    /// A system's move rows as raw CSR arrays in state-id order, the
+    /// form segments store.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Csr {
+        row: Vec<u32>,
+        targets: Vec<u32>,
+        commands: Vec<u32>,
+    }
+
+    impl Csr {
+        fn of(ts: &TransitionSystem) -> Csr {
+            let mut csr = Csr {
+                row: vec![0],
+                targets: Vec::new(),
+                commands: Vec::new(),
+            };
+            for s in 0..ts.len() {
+                csr.targets.extend_from_slice(ts.succ_row(s));
+                csr.commands.extend_from_slice(ts.move_commands(s));
+                csr.row.push(csr.targets.len() as u32);
+            }
+            csr
+        }
+
+        /// `ts`'s reachable-store payload with these rows.
+        fn payload(&self, ts: &TransitionSystem) -> Vec<u8> {
+            let StateStore::PackedWords { words, .. } = &ts.store else {
+                panic!("reachable packed store");
+            };
+            let mut w = crate::artifact::ByteWriter::new();
+            w.u8(1);
+            w.u32(ts.n_commands as u32);
+            w.u64(words.len() as u64);
+            w.u64_slice(words);
+            w.u32_slice(&ts.init);
+            let fair: Vec<u32> = ts.fair.iter().map(|&c| c as u32).collect();
+            w.u32_slice(&fair);
+            w.u32_slice(&self.row);
+            w.u32_slice(&self.targets);
+            w.u32_slice(&self.commands);
+            w.into_vec()
+        }
     }
 
     /// The initial words by a scan of the whole domain product with the
@@ -962,7 +1210,7 @@ mod tests {
             let ts = TransitionSystem::build(&p, Universe::Reachable, &cfg).unwrap();
             assert!(ts.is_empty(), "{threads} threads");
             assert!(ts.init.is_empty());
-            assert!(ts.succ.is_empty());
+            assert_eq!(ts.move_count(), 0);
         }
     }
 

@@ -523,9 +523,9 @@ impl<'p> Verifier<'p> {
             let Some(pred) = slot else { continue };
             // A predecessor index only makes sense next to the matching
             // transition system; require the shape to line up.
-            let fits = self.cache.ts[k].as_ref().is_some_and(|ts| {
-                pred.len() == ts.len() && pred.edge_count() == ts.transition_count()
-            });
+            let fits = self.cache.ts[k]
+                .as_ref()
+                .is_some_and(|ts| pred.len() == ts.len() && pred.edge_count() == ts.move_count());
             if fits && self.cache.pred[k].is_none() {
                 self.cache.pred[k] = Some(pred);
             }

@@ -158,7 +158,11 @@ proptest! {
             prop_assert_eq!(&ts.init, &init);
             for (id, s) in states.iter().enumerate() {
                 prop_assert_eq!(&ts.state(id as u32), s, "state {}", id);
-                prop_assert_eq!(ts.succ_row(id), &succ[id][..], "row {}", id);
+                for (c, &want) in succ[id].iter().enumerate() {
+                    prop_assert_eq!(ts.succ_at(id, c), want, "state {} command {}", id, c);
+                }
+                let moves = succ[id].iter().filter(|&&w| w as usize != id).count();
+                prop_assert_eq!(ts.succ_row(id).len(), moves, "moves of state {}", id);
             }
         }
     }

@@ -357,7 +357,7 @@ fn decode_ts(bytes: &[u8], program: &Program, cfg: &ScanConfig) -> Option<Transi
 fn decode_pred(bytes: &[u8], ts: &TransitionSystem) -> Option<PredIndex> {
     match decode_segment(bytes) {
         Ok((KIND_PRED_INDEX, payload)) => {
-            PredIndex::from_artifact_bytes(payload, ts.len(), ts.transition_count()).ok()
+            PredIndex::from_artifact_bytes(payload, ts.len(), ts.move_count()).ok()
         }
         _ => None,
     }
@@ -501,6 +501,49 @@ mod tests {
         let loaded = store.load(&hash, program, &cfg);
         assert!(loaded.ts[0].is_none());
         assert!(loaded.pred[0].is_none());
+    }
+
+    #[test]
+    fn malformed_move_rows_and_version_2_segments_are_misses() {
+        use unity_mc::artifact::SEGMENT_MAGIC;
+        let store = tmp_store("moves");
+        let spec = load_spec(SPEC).unwrap();
+        let program = &spec.system.composed;
+        let cfg = ScanConfig::default();
+        let hash = spec_hash(SPEC);
+        let mut session = Verifier::new(program, cfg.clone());
+        let _ = session.verify_all(&spec.checks);
+        store.save(&hash, SPEC, &session.artifacts()).unwrap();
+        let ts_path = store.program_dir(&hash).join("ts_reachable.seg");
+        let good = std::fs::read(&ts_path).unwrap();
+        let (kind, payload) = decode_segment(&good).unwrap();
+        assert_eq!(kind, KIND_TRANSITION_SYSTEM);
+
+        // A well-framed, correctly checksummed version-3 segment whose
+        // last move names command 7 of a two-command program.
+        let mut bad = payload.to_vec();
+        let at = bad.len() - 4;
+        bad[at..].copy_from_slice(&7u32.to_le_bytes());
+        // The same bytes stamped as version 2, the dense-table format.
+        let mut v2 = good.clone();
+        v2[SEGMENT_MAGIC.len()..SEGMENT_MAGIC.len() + 2].copy_from_slice(&2u16.to_le_bytes());
+        for (what, bytes) in [
+            (
+                "malformed move row",
+                encode_segment(KIND_TRANSITION_SYSTEM, &bad),
+            ),
+            ("version 2", v2),
+        ] {
+            std::fs::write(&ts_path, &bytes).unwrap();
+            store.drop_memory_cache();
+            let loaded = store.load(&hash, program, &cfg);
+            assert!(loaded.ts[0].is_none(), "{what}");
+            assert!(loaded.pred[0].is_none(), "{what}");
+        }
+        // The intact segment still decodes.
+        std::fs::write(&ts_path, &good).unwrap();
+        store.drop_memory_cache();
+        assert!(store.load(&hash, program, &cfg).ts[0].is_some());
     }
 
     #[test]
