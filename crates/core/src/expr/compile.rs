@@ -437,7 +437,8 @@ pub struct CompiledExpr {
 /// One conjunct read as a literal test: `b`, `!b`, `x == c`, `c == x`,
 /// `b <=> c` or a boolean constant.
 enum Pin {
-    /// Always true (`true`, or a pin of a 0-bit field to its value).
+    /// Always true (`true`). A pin of a 0-bit field to its value is a
+    /// `Field` with mask 0, which tests nothing.
     Always,
     /// Always false (`false`, or a constant outside the domain).
     Never,
@@ -450,12 +451,13 @@ enum Pin {
 /// its bytecode value is the test's 0/1 result.
 fn literal_pin(e: &Expr, layout: &PackedLayout) -> Option<Pin> {
     let bit = |v: usize| layout.base[v] == 0 && layout.size[v] == 2;
-    let pin = |v: usize, c: i64| match c.checked_sub(layout.base[v]) {
-        Some(idx) if idx >= 0 && (idx as u64) < layout.size[v] => Pin::Field {
-            mask: layout.mask[v] << layout.shift[v],
-            value: (idx as u64) << layout.shift[v],
-        },
-        _ => Pin::Never,
+    let pin = |v: usize, c: i64| {
+        layout
+            .set_checked(0, v, c)
+            .map_or(Pin::Never, |value| Pin::Field {
+                mask: layout.mask[v] << layout.shift[v],
+                value,
+            })
     };
     let lit = |v: &Value| match v {
         Value::Bool(b) => i64::from(*b),

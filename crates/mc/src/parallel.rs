@@ -175,12 +175,13 @@ where
     par_chunks(out, RANGE_CHUNK as usize, cfg, f)
 }
 
-/// [`par_fill`] with an explicit chunk size, for fills whose windows
-/// must stay aligned to a record stride (the parallel full-product
-/// builder hands out whole successor **rows**, so its chunk is a
-/// multiple of the command count). `f(lo, chunk)` computes
+/// [`par_fill`] with an explicit chunk size. `f(lo, chunk)` computes
 /// `out[lo..lo + chunk.len()]`; every chunk except possibly the last
-/// has exactly `chunk` elements.
+/// has exactly `chunk` elements. The parallel full-product builder
+/// passes chunk 1 over one result slot per window of states, so each
+/// worker claims a whole window; it sets a zero cutoff because the
+/// slot count is far below the state count it compared with
+/// `sequential_cutoff`.
 pub fn par_chunks<T, F>(out: &mut [T], chunk: usize, cfg: &ParConfig, f: F)
 where
     T: Send,

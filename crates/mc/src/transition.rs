@@ -963,6 +963,50 @@ mod tests {
     }
 
     #[test]
+    fn parallel_all_states_build_matches_sequential_across_windows() {
+        // 32768 states over 4 commands: a window holds 2048 states, so
+        // the chunk-parallel builder stitches 16 windows. The literal
+        // guard with constant updates takes the mask path.
+        let mut v = Vocabulary::new();
+        let x = v.declare("x", Domain::int_range(0, 63).unwrap()).unwrap();
+        let y = v.declare("y", Domain::int_range(0, 63).unwrap()).unwrap();
+        let z = v.declare("z", Domain::int_range(0, 7).unwrap()).unwrap();
+        let p = Program::builder("grid", Arc::new(v))
+            .init(and2(eq(var(x), int(0)), eq(var(z), int(0))))
+            .fair_command("ix", lt(var(x), int(63)), vec![(x, add(var(x), int(1)))])
+            .command("iy", lt(var(y), int(63)), vec![(y, add(var(y), int(1)))])
+            .fair_command("iz", lt(var(z), int(7)), vec![(z, add(var(z), int(1)))])
+            .command(
+                "reset",
+                and2(eq(var(x), int(63)), eq(var(z), int(7))),
+                vec![(x, int(0)), (z, int(0))],
+            )
+            .build()
+            .unwrap();
+        let sequential = ScanConfig {
+            par: ParConfig::sequential(),
+            ..Default::default()
+        };
+        let parallel = ScanConfig {
+            par: ParConfig::with_threads(4),
+            ..Default::default()
+        };
+        let want = TransitionSystem::build(&p, Universe::AllStates, &sequential).unwrap();
+        let got = TransitionSystem::build(&p, Universe::AllStates, &parallel).unwrap();
+        assert_eq!(want.len(), 64 * 64 * 8);
+        assert!(want.len() as u64 / (RANGE_CHUNK / 4) > 1, "multi-window");
+        assert_eq!(got.init, want.init);
+        assert_eq!(Csr::of(&got), Csr::of(&want));
+        // Every command's successor is its step, at a spread of states.
+        for id in (0..got.len() as u32).step_by(97) {
+            let s = got.state(id);
+            for c in 0..p.commands.len() {
+                assert_eq!(got.state(got.succ_at(id as usize, c)), p.step(c, &s));
+            }
+        }
+    }
+
+    #[test]
     fn artifact_bytes_round_trip_both_packed_stores() {
         // Reachable = PackedWords, AllStates = PackedRange.
         let mut v = Vocabulary::new();

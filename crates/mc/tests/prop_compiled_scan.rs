@@ -189,12 +189,25 @@ proptest! {
             let c = TransitionSystem::build(&prog, universe, &ScanConfig::default()).unwrap();
             let r = TransitionSystem::build(&prog, universe, &ScanConfig::reference()).unwrap();
             prop_assert_eq!(c.len(), r.len());
-            prop_assert_eq!(c.transition_count(), r.transition_count());
+            prop_assert_eq!(c.move_count(), r.move_count());
             prop_assert_eq!(&c.init, &r.init);
-            // Identical interning order: state-by-state equality.
+            // Identical interning order: state-by-state equality, and
+            // the same command makes each move.
             for id in 0..c.len() as u32 {
+                let s = id as usize;
                 prop_assert_eq!(c.state(id), r.state(id));
-                prop_assert_eq!(c.succ_row(id as usize), r.succ_row(id as usize));
+                prop_assert_eq!(c.succ_row(s), r.succ_row(s));
+                prop_assert_eq!(c.move_commands(s), r.move_commands(s));
+                // Every command's successor is its step, the state
+                // itself when the command stutters.
+                let state = c.state(id);
+                for k in 0..prog.commands.len() {
+                    prop_assert_eq!(
+                        c.state(c.succ_at(s, k)),
+                        prog.step(k, &state),
+                        "state {} command {}", id, k
+                    );
+                }
             }
         }
     }
@@ -287,9 +300,12 @@ fn priority_ring_packing_agrees() {
     let r =
         TransitionSystem::build(program, Universe::AllStates, &ScanConfig::reference()).unwrap();
     assert_eq!(c.len(), r.len());
+    assert_eq!(c.move_count(), r.move_count());
     for id in 0..c.len() as u32 {
+        let s = id as usize;
         assert_eq!(c.state(id), r.state(id));
-        assert_eq!(c.succ_row(id as usize), r.succ_row(id as usize));
+        assert_eq!(c.succ_row(s), r.succ_row(s));
+        assert_eq!(c.move_commands(s), r.move_commands(s));
     }
     // Exact fair liveness agrees too (it consumes the packed system).
     let goal = sys.priority_expr(2);

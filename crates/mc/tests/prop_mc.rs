@@ -232,8 +232,10 @@ proptest! {
                 let ts = TransitionSystem::build(&prog, universe, &threaded(threads)).unwrap();
                 prop_assert_eq!(ts.len(), want.len(), "{} threads", threads);
                 prop_assert_eq!(&ts.init, &want.init, "{} threads", threads);
+                prop_assert_eq!(ts.move_count(), want.move_count(), "{} threads", threads);
                 for s in 0..ts.len() {
                     prop_assert_eq!(ts.succ_row(s), want.succ_row(s), "row {}", s);
+                    prop_assert_eq!(ts.move_commands(s), want.move_commands(s), "row {}", s);
                 }
             }
         }
