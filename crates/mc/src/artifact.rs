@@ -223,25 +223,33 @@ impl<'a> ByteReader<'a> {
     /// Reads a length-prefixed `u32` array (bounded by the remaining
     /// payload, so a hostile length cannot trigger a huge allocation).
     pub fn u32_vec(&mut self) -> Result<Vec<u32>, String> {
-        let n = self.u64()? as usize;
-        if n.checked_mul(4)
-            .is_none_or(|b| b > self.buf.len() - self.pos)
-        {
-            return Err(format!("array of {n} u32s exceeds payload"));
-        }
-        (0..n).map(|_| self.u32()).collect()
+        self.array("u32", u32::from_le_bytes)
     }
 
     /// Reads a length-prefixed `u64` array (bounded like
     /// [`ByteReader::u32_vec`]).
     pub fn u64_vec(&mut self) -> Result<Vec<u64>, String> {
+        self.array("u64", u64::from_le_bytes)
+    }
+
+    /// Reads a length-prefixed array of `W`-byte elements: one bounds
+    /// check against the remaining payload, then one pass over the bytes
+    /// into an exactly sized `Vec`.
+    fn array<const W: usize, T>(
+        &mut self,
+        what: &str,
+        decode: fn([u8; W]) -> T,
+    ) -> Result<Vec<T>, String> {
         let n = self.u64()? as usize;
-        if n.checked_mul(8)
-            .is_none_or(|b| b > self.buf.len() - self.pos)
-        {
-            return Err(format!("array of {n} u64s exceeds payload"));
-        }
-        (0..n).map(|_| self.u64()).collect()
+        let len = n
+            .checked_mul(W)
+            .filter(|&b| b <= self.buf.len() - self.pos)
+            .ok_or_else(|| format!("array of {n} {what}s exceeds payload"))?;
+        Ok(self
+            .take(len)?
+            .chunks_exact(W)
+            .map(|c| decode(c.try_into().expect("chunks are W bytes")))
+            .collect())
     }
 
     /// Reads a length-prefixed byte string (bounded like
@@ -311,6 +319,20 @@ mod tests {
         let buf = w.into_vec();
         assert!(ByteReader::new(&buf).u32_vec().is_err());
         assert!(ByteReader::new(&buf).u64_vec().is_err());
+    }
+
+    #[test]
+    fn a_length_one_element_past_the_payload_is_refused() {
+        let mut w = ByteWriter::new();
+        w.u64(4);
+        for v in [1u32, 2, 3] {
+            w.u32(v);
+        }
+        assert!(ByteReader::new(&w.into_vec()).u32_vec().is_err());
+        let mut w = ByteWriter::new();
+        w.u64(2);
+        w.u64(1);
+        assert!(ByteReader::new(&w.into_vec()).u64_vec().is_err());
     }
 
     #[test]

@@ -13,16 +13,30 @@
 //! `skip`-stuttering for padding), and `S` is reachable from a `p ∧ ¬q`
 //! state through `¬q` states. Conversely, a fair run avoiding `q` forever
 //! eventually stays inside one SCC of the `¬q` graph and must take each
-//! `d`-edge inside it infinitely often, so the condition is exact.
+//! `d`-edge inside it infinitely often, so the condition is exact. Such
+//! an `S` is a *fair trap*. A `d` that stutters at a member keeps its
+//! successor inside `S`, so `d` is covered iff it stutters at some member
+//! or moves from a member into `S`; a single state is a trap iff no fair
+//! command moves there.
 //!
-//! **Engine.** The default formulation is a worklist over the session's
-//! CSR predecessor index ([`crate::pred::PredIndex`]): SCCs of the `¬q`
-//! subgraph come from a pooled-scratch Tarjan
-//! ([`crate::scc::tarjan_scc_pooled`] — components are ranges into one
-//! flat order array, no per-check allocation), and the "which `¬q`
-//! states can reach a fair trap" propagation walks predecessor rows
-//! from the trap members, touching `O(|¬q| + pred-edges into ¬q)`
-//! states instead of rescanning the whole table until quiescence. The
+//! **Engine.** The default formulation decides the check with one SCC
+//! pass over the `¬q` states that the `p ∧ ¬q` states reach
+//! ([`crate::scc::tarjan_scc_pooled`] rooted at them, with pooled
+//! scratch: components are ranges into one flat order array). A trap in
+//! that region is reachable from a `p`-state, so finding one refutes the
+//! check, and finding none proves it: no predecessor walk, no search for
+//! a start state, and none of the `¬q` states that no `p`-state reaches.
+//! Each component's trap test reads its members' move rows, each at most
+//! once, and never searches a row for one command.
+//!
+//! A refutation rebuilds the witness the reference formulation prints.
+//! The "which `¬q` states can reach a fair trap" propagation walks the
+//! session's CSR predecessor index ([`crate::pred::PredIndex`]) back
+//! from the trap members, and the start state is the lowest-id dangerous
+//! `p ∧ ¬q` state. The lasso lists its trap in the pop order of the pass
+//! rooted at *every* `¬q` state, which depends on where the depth-first
+//! search enters the trap; when the trap has several states and some
+//! `¬q` state is not a root, that pass is rerun for the listing. The
 //! pre-worklist formulation is kept verbatim as
 //! [`check_leadsto_on_reference`] (the `leadsto` engine under
 //! [`ScanConfig::reference`]); the `prop_leadsto_worklist` differential
@@ -53,19 +67,24 @@ pub struct LeadsToReport {
     /// check itself traverses only the `¬q` rows; see
     /// [`LeadsToReport::scanned_states`].
     pub transitions: usize,
-    /// Number of SCCs in the `¬q` subgraph.
+    /// Number of SCCs the SCC pass found: on the worklist engine, those
+    /// of the `¬q` states reachable from `p ∧ ¬q` through `¬q`; on the
+    /// reference formulation, those of every `¬q` state.
     pub sccs: usize,
-    /// Number of fair traps found (0 when the property holds).
+    /// Number of fair traps among those SCCs. Always 0 when the property
+    /// holds on the worklist engine; the reference formulation also
+    /// counts traps that no `p ∧ ¬q` state reaches.
     pub traps: usize,
     /// `¬q` states actually visited by the SCC pass — the region this
-    /// check's cost scales with.
+    /// check's cost scales with (see [`LeadsToReport::sccs`]).
     pub scanned_states: usize,
-    /// Predecessor edges walked by the backward worklist (0 on the
-    /// reference formulation, which has no predecessor index). The index
-    /// holds moves only, so a stutter is never walked.
+    /// Predecessor edges walked by the backward worklist that a
+    /// refutation runs (0 on a pass, and on the reference formulation,
+    /// which has no predecessor index). The index holds moves only, so a
+    /// stutter is never walked.
     pub pred_edges: usize,
-    /// States pushed onto the backward worklist, trap seeds included
-    /// (0 on the reference formulation).
+    /// States pushed onto that backward worklist, trap seeds included
+    /// (0 on a pass and on the reference formulation).
     pub worklist_pushes: usize,
     /// Wall-clock milliseconds the transition-system construction took
     /// (memoized sessions pay this once and report it on every check).
@@ -73,13 +92,19 @@ pub struct LeadsToReport {
 }
 
 /// Pooled per-session buffers for the worklist liveness engine: the
-/// Tarjan scratch plus trap/danger marks and the worklist itself. Held
-/// in the verifier session's `EngineCache`, so a spec with many
-/// `leadsto` checks reuses one set of arrays across all of them.
+/// Tarjan scratch, the trap test's fair-command table and escaping list,
+/// trap/danger marks and the worklist itself. Held in the verifier session's
+/// `EngineCache`, so a spec with many `leadsto` checks reuses one set of
+/// arrays across all of them.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LivenessScratch {
     /// Pooled Tarjan buffers (components as flat ranges).
     scc: SccScratch,
+    /// Whether each command is fair, by command index.
+    fair: Vec<bool>,
+    /// The trap test's fair commands that no member so far keeps inside
+    /// the component, ascending.
+    escaping: Vec<u32>,
     /// Trap flag per component of the last run.
     trap: Vec<bool>,
     /// Backward-reachability marks ("can reach a trap through `¬q`").
@@ -143,6 +168,13 @@ pub(crate) fn check_leadsto_outcome_in(
         // for the differential suites.
         return Ok(reference_outcome(&ts, program, p, q));
     }
+    // A passing check never walks the predecessor index, and a refuted
+    // one could order its danger walk by Tarjan's components instead.
+    // Every explicit check still requests it: the benchmark's replay
+    // builds it for each flat `leadsto` submission and requires the
+    // daemon's `pred_reachable` cache outcome to match. Building it
+    // lazily, or not at all, waits for that replay to accept avoided
+    // work.
     let pred = cache.pred_index(&ts, universe);
     Ok(check_leadsto_worklist(
         &ts,
@@ -222,12 +254,12 @@ impl<'ts> LeadsToEngine<'ts> {
     }
 }
 
-/// The worklist liveness core: `¬q`-localized pooled Tarjan, trap
-/// detection over flat component ranges, and backward trap-reachability
-/// as a predecessor-row worklist. Returns the traversal report plus
-/// the refutation, if any — callers that want `Result` convention use
-/// [`into_result`]; the verifier keeps both so refuted checks still
-/// carry their cost counters.
+/// The worklist liveness core: a pooled Tarjan pass rooted at the
+/// `p ∧ ¬q` states decides the check, and a refutation adds the
+/// backward trap-reachability worklist, the start state and the lasso.
+/// Returns the traversal report plus the refutation, if any — callers
+/// that want `Result` convention use [`into_result`]; the verifier keeps
+/// both so refuted checks still carry their cost counters.
 fn check_leadsto_worklist(
     ts: &TransitionSystem,
     pred: &PredIndex,
@@ -242,44 +274,48 @@ fn check_leadsto_worklist(
     for b in &mut not_q {
         *b = !*b;
     }
-
-    // SCCs of the ¬q-restricted graph, into the pooled scratch:
-    // components are ranges of one flat order array, comp ids are dense.
-    let succ = |v: u32| ts.succ_row(v as usize);
+    let p_sat = ts.sat_vec_with(p, par);
     let LivenessScratch {
         scc,
+        fair,
+        escaping,
         trap,
         dangerous,
         worklist,
     } = scratch;
-    tarjan_scc_pooled(&not_q, succ, scc);
+    fair.clear();
+    fair.resize(ts.n_commands, false);
+    for &d in &ts.fair {
+        fair[d] = true;
+    }
 
-    // A trap: for every fair command d, some member state keeps its
-    // d-successor inside the component. (Trivial SCCs — single state whose
-    // d-successors all leave or all equal itself — qualify iff the
-    // self-loop condition holds for all d; with D empty every SCC is a trap
-    // because skip alone realizes a fair run.) A d that stutters at v
-    // has `succ_at(v, d) == v`, inside v's own component, so stutters
-    // need no storing for this test, nor for Tarjan, where a self-loop
-    // never changes a component.
-    trap.clear();
-    let mut traps = 0usize;
-    for cid in 0..scc.comp_count() {
-        let members = scc.members(cid);
-        let is_trap = ts.fair.iter().all(|&d| {
-            members.iter().any(|&v| {
-                let w = ts.succ_at(v as usize, d);
-                not_q[w as usize] && scc.comp_of(w) == cid as u32
-            })
-        });
-        trap.push(is_trap);
-        traps += is_trap as usize;
+    // The decision pass: SCCs of the ¬q states that the p ∧ ¬q states
+    // reach through ¬q. A fair run from a p-state that avoids q forever
+    // never leaves this region, so the check fails iff it holds a trap.
+    let succ = |v: u32| ts.succ_row(v as usize);
+    let roots = (0..n as u32).filter(|&v| not_q[v as usize] && p_sat[v as usize]);
+    tarjan_scc_pooled(&not_q, roots, succ, scc);
+    let traps = mark_traps(ts, scc, fair, escaping, trap);
+    let mut report = LeadsToReport {
+        states: n,
+        transitions: ts.transition_count(),
+        sccs: scc.comp_count(),
+        traps,
+        scanned_states: scc.visited(),
+        pred_edges: 0,
+        worklist_pushes: 0,
+        build_ms: ts.build_stats().build_ms,
+    };
+    if traps == 0 {
+        return (report, None);
     }
 
     // Which ¬q states can reach a trap through ¬q states? Seed the
     // worklist with the trap members and walk predecessor rows: each
     // state is pushed at most once, so the propagation costs the trap
-    // region's in-edges, not whole-table rescans.
+    // region's in-edges, not whole-table rescans. Every trap that a
+    // p ∧ ¬q state reaches lies in the decision region, so the
+    // dangerous p ∧ ¬q states are those of the reference formulation.
     dangerous.clear();
     dangerous.resize(n, false);
     worklist.clear();
@@ -291,60 +327,107 @@ fn check_leadsto_worklist(
             }
         }
     }
-    let mut worklist_pushes = worklist.len();
-    let mut pred_edges = 0usize;
+    report.worklist_pushes = worklist.len();
     while let Some(v) = worklist.pop() {
         let row = pred.row(v);
-        pred_edges += row.len();
+        report.pred_edges += row.len();
         for &u in row {
             if not_q[u as usize] && !dangerous[u as usize] {
                 dangerous[u as usize] = true;
                 worklist.push(u);
-                worklist_pushes += 1;
+                report.worklist_pushes += 1;
             }
         }
     }
 
-    let report = LeadsToReport {
-        states: n,
-        transitions: ts.transition_count(),
-        sccs: scc.comp_count(),
-        traps,
-        scanned_states: scc.visited(),
-        pred_edges,
-        worklist_pushes,
-        build_ms: ts.build_stats().build_ms,
-    };
-
-    // No trap ⇒ nothing is dangerous ⇒ no start state can exist: the
-    // property holds without ever sweeping for `p`. (The common passing
-    // case costs only the `q` sweep and the localized SCC pass.)
-    if traps == 0 {
-        return (report, None);
-    }
-
-    // A violation starts at any state satisfying p ∧ ¬q that is dangerous.
-    // (p-states satisfying q are immediately fine.)
-    let p_sat = ts.sat_vec_with(p, par);
-    let start = (0..n).find(|&v| not_q[v] && dangerous[v] && p_sat[v]);
-
-    match start {
-        None => (report, None),
-        Some(v0) => {
-            let trap_member = |u: u32| not_q[u as usize] && trap[scc.comp_of(u) as usize];
-            let (prefix_ids, target) = lasso_prefix(ts, &not_q, trap_member, v0 as u32);
-            let trap_states: Vec<State> = match target {
-                Some(t) => scc
-                    .members(scc.comp_of(t) as usize)
-                    .iter()
-                    .map(|&v| ts.state(v))
-                    .collect(),
-                None => Vec::new(),
-            };
-            let err = refuted_leadsto(program, p, q, ts, prefix_ids, trap_states);
-            (report, Some(err))
+    // A violation starts at the lowest-id dangerous p ∧ ¬q state; the
+    // root that reaches the trap found is one.
+    let v0 = (0..n)
+        .find(|&v| not_q[v] && dangerous[v] && p_sat[v])
+        .expect("a trap found from a p ∧ ¬q root makes that root dangerous") as u32;
+    // The prefix stays in v0's ¬q region, where components and trap
+    // flags are those of the pass from every ¬q state.
+    let trap_member = |u: u32| trap.get(scc.comp_of(u) as usize) == Some(&true);
+    let (prefix_ids, target) = lasso_prefix(ts, &not_q, trap_member, v0);
+    let trap_states: Vec<State> = match target {
+        Some(t) => {
+            // A trap's members are listed in the pop order of the pass
+            // from every ¬q state, which depends on where that pass
+            // enters the trap. Rerun it unless the two passes coincide
+            // (every ¬q state is a root) or the order cannot differ (a
+            // single state).
+            if scc.members(scc.comp_of(t) as usize).len() > 1
+                && (0..n).any(|v| not_q[v] && !p_sat[v])
+            {
+                tarjan_scc_pooled(&not_q, 0..n as u32, succ, scc);
+            }
+            scc.members(scc.comp_of(t) as usize)
+                .iter()
+                .map(|&v| ts.state(v))
+                .collect()
         }
+        None => Vec::new(),
+    };
+    let err = refuted_leadsto(program, p, q, ts, prefix_ids, trap_states);
+    (report, Some(err))
+}
+
+/// Flags each component of the last Tarjan pass in `scc` that is a fair
+/// trap into `trap`, and returns how many are. A fair command escapes a
+/// component if it moves out of it from every member: it neither
+/// stutters at a member nor moves from one into the component. The
+/// component is a trap iff no fair command escapes (with `D` empty, every
+/// component is). This equals the reference's `succ_at` test. It reads
+/// move rows instead: a single state traps iff no fair command moves
+/// there, and a larger component narrows the escaping commands member by
+/// member, stopping once none is left.
+fn mark_traps(
+    ts: &TransitionSystem,
+    scc: &SccScratch,
+    fair: &[bool],
+    escaping: &mut Vec<u32>,
+    trap: &mut Vec<bool>,
+) -> usize {
+    trap.clear();
+    for cid in 0..scc.comp_count() {
+        let is_trap = match scc.members(cid) {
+            // A move never targets its own state, so every move leaves a
+            // single state.
+            [v] => !ts
+                .move_commands(*v as usize)
+                .iter()
+                .any(|&c| fair[c as usize]),
+            [first, rest @ ..] => {
+                let cid = cid as u32;
+                let leaves = |v: u32| {
+                    let v = v as usize;
+                    ts.move_commands(v)
+                        .iter()
+                        .zip(ts.succ_row(v))
+                        .filter(move |&(_, &w)| scc.comp_of(w) != cid)
+                        .map(|(&c, _)| c)
+                };
+                // A fair command missing from `leaves(v)` stutters at v or
+                // moves from v into the component: it does not escape.
+                escaping.clear();
+                escaping.extend(leaves(*first).filter(|&c| fair[c as usize]));
+                for &v in rest {
+                    if escaping.is_empty() {
+                        break;
+                    }
+                    let mut out = leaves(v).peekable();
+                    escaping.retain(|&d| {
+                        while out.next_if(|&c| c < d).is_some() {}
+                        out.next_if_eq(&d).is_some()
+                    });
+                }
+                escaping.is_empty()
+            }
+            [] => unreachable!("a component has a member"),
+        };
+        trap.push(is_trap);
     }
+    trap.iter().filter(|&&t| t).count()
 }
 
 /// Collapses a core outcome back to the free functions' `Result`
@@ -516,7 +599,7 @@ mod tests {
     use std::sync::Arc;
     use unity_core::domain::Domain;
     use unity_core::expr::build::*;
-    use unity_core::ident::Vocabulary;
+    use unity_core::ident::{VarId, Vocabulary};
     use unity_core::program::Program;
 
     fn counter(k: i64, fair: bool) -> Program {
@@ -759,6 +842,149 @@ mod tests {
                 ref other => panic!("refuted leadsto keeps explicit stats, got {other:?}"),
             }
         }
+    }
+
+    /// The lasso of a refuted check.
+    fn lasso(err: McError) -> Counterexample {
+        match err {
+            McError::Refuted { cex, .. } => cex,
+            other => panic!("expected a refutation, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_trap_no_p_state_reaches_leaves_the_check_passing() {
+        // Over every x in 0..3, the fair `up` moves only 1 to 2. The stuck
+        // states 0 and 3 are fair traps in ¬q, but no p-state reaches
+        // them: the decision pass visits p's one state and finds none.
+        let mut v = Vocabulary::new();
+        let x = v.declare("x", Domain::int_range(0, 3).unwrap()).unwrap();
+        let prog = Program::builder("up", Arc::new(v))
+            .init(eq(var(x), int(1)))
+            .fair_command("up", eq(var(x), int(1)), vec![(x, int(2))])
+            .build()
+            .unwrap();
+        let ts =
+            TransitionSystem::build(&prog, Universe::AllStates, &ScanConfig::default()).unwrap();
+        let (p, q) = (eq(var(x), int(1)), eq(var(x), int(2)));
+        let fast = check_leadsto_on(&ts, &prog, &p, &q).unwrap();
+        assert_eq!(fast.traps, 0);
+        assert_eq!((fast.sccs, fast.scanned_states), (1, 1));
+        let slow = check_leadsto_on_reference(&ts, &prog, &p, &q).unwrap();
+        assert_eq!(
+            slow.traps, 2,
+            "the reference counts the stuck states 0 and 3"
+        );
+    }
+
+    #[test]
+    fn a_trap_reached_only_through_non_p_states_refutes() {
+        // 0 -> 1 -> 2, stuck at 2: the p-state 0 reaches the trap {2}
+        // through 1, and 1 and 2 satisfy neither p nor q.
+        let mut v = Vocabulary::new();
+        let x = v.declare("x", Domain::int_range(0, 3).unwrap()).unwrap();
+        let prog = Program::builder("inc", Arc::new(v))
+            .init(eq(var(x), int(0)))
+            .fair_command("inc", lt(var(x), int(2)), vec![(x, add(var(x), int(1)))])
+            .build()
+            .unwrap();
+        let ts =
+            TransitionSystem::build(&prog, Universe::Reachable, &ScanConfig::default()).unwrap();
+        let (p, q) = (eq(var(x), int(0)), eq(var(x), int(3)));
+        let fast = lasso(check_leadsto_on(&ts, &prog, &p, &q).unwrap_err());
+        let slow = lasso(check_leadsto_on_reference(&ts, &prog, &p, &q).unwrap_err());
+        assert_eq!(fast, slow);
+        let Counterexample::LeadsTo { prefix, trap } = fast else {
+            panic!("leadsto refutes with a lasso");
+        };
+        assert_eq!((prefix.len(), trap.len()), (3, 1));
+    }
+
+    #[test]
+    fn a_multi_state_trap_is_listed_as_the_pass_from_every_not_q_state_lists_it() {
+        // Over every x in 0..3: `flip` swaps 1 and 2, `drop` moves 3 to 2,
+        // and q is x == 0. The trap {1, 2} is entered at 1 by the pass
+        // from every ¬q state (1 is its lowest id) and at 2 by the pass
+        // rooted at the p-state 3, so the two passes list its members in
+        // opposite orders. The witness must list them as the reference.
+        let mut v = Vocabulary::new();
+        let x = v.declare("x", Domain::int_range(0, 3).unwrap()).unwrap();
+        let prog = Program::builder("flip", Arc::new(v))
+            .init(eq(var(x), int(3)))
+            .fair_command(
+                "flip",
+                or2(eq(var(x), int(1)), eq(var(x), int(2))),
+                vec![(x, sub(int(3), var(x)))],
+            )
+            .fair_command("drop", eq(var(x), int(3)), vec![(x, int(2))])
+            .build()
+            .unwrap();
+        let ts =
+            TransitionSystem::build(&prog, Universe::AllStates, &ScanConfig::default()).unwrap();
+        let (p, q) = (eq(var(x), int(3)), eq(var(x), int(0)));
+
+        // The premise: the two passes list the trap differently.
+        let not_q: Vec<bool> = ts.sat_vec(&q).into_iter().map(|b| !b).collect();
+        let succ = |v: u32| ts.succ_row(v as usize);
+        let full = tarjan_scc(&not_q, succ);
+        let mut rooted = SccScratch::default();
+        let roots = ts.states_where(|s| unity_core::expr::eval::eval_bool(&p, s));
+        tarjan_scc_pooled(&not_q, roots, succ, &mut rooted);
+        let full_trap = full.iter().find(|c| c.len() == 2).expect("the trap {1, 2}");
+        let rooted_trap = (0..rooted.comp_count())
+            .map(|cid| rooted.members(cid))
+            .find(|m| m.len() == 2)
+            .expect("the trap {1, 2}");
+        assert_ne!(full_trap.as_slice(), rooted_trap);
+
+        let fast = lasso(check_leadsto_on(&ts, &prog, &p, &q).unwrap_err());
+        let slow = lasso(check_leadsto_on_reference(&ts, &prog, &p, &q).unwrap_err());
+        assert_eq!(fast, slow, "state for state");
+        let Counterexample::LeadsTo { trap, .. } = fast else {
+            panic!("leadsto refutes with a lasso");
+        };
+        let listed: Vec<State> = full_trap.iter().map(|&v| ts.state(v)).collect();
+        assert_eq!(trap, listed);
+    }
+
+    #[test]
+    fn commands_past_the_64th_count_in_the_trap_test() {
+        // 64 fair commands swap x between 0 and 1; the fair command at
+        // index 64 decides whether {0, 1} traps. Moving out of both states
+        // it is never covered; stuck at 0 it is covered by that stutter.
+        let build = |guard: fn(VarId) -> Expr| {
+            let mut v = Vocabulary::new();
+            let x = v.declare("x", Domain::int_range(0, 2).unwrap()).unwrap();
+            let mut b = Program::builder("wide", Arc::new(v)).init(eq(var(x), int(0)));
+            for k in 0..64 {
+                b = b.fair_command(
+                    format!("swap{k}"),
+                    lt(var(x), int(2)),
+                    vec![(x, sub(int(1), var(x)))],
+                );
+            }
+            let prog = b
+                .fair_command("out", guard(x), vec![(x, int(2))])
+                .build()
+                .unwrap();
+            assert_eq!(prog.commands.len(), 65);
+            (prog, x)
+        };
+        let (prog, x) = build(|x| lt(var(x), int(2)));
+        let ts =
+            TransitionSystem::build(&prog, Universe::Reachable, &ScanConfig::default()).unwrap();
+        let q = eq(var(x), int(2));
+        let fast = check_leadsto_on(&ts, &prog, &tt(), &q).unwrap();
+        assert_eq!((fast.sccs, fast.traps), (1, 0));
+        check_leadsto_on_reference(&ts, &prog, &tt(), &q).unwrap();
+
+        let (prog, x) = build(|x| eq(var(x), int(1)));
+        let ts =
+            TransitionSystem::build(&prog, Universe::Reachable, &ScanConfig::default()).unwrap();
+        let q = eq(var(x), int(2));
+        let fast = lasso(check_leadsto_on(&ts, &prog, &tt(), &q).unwrap_err());
+        let slow = lasso(check_leadsto_on_reference(&ts, &prog, &tt(), &q).unwrap_err());
+        assert_eq!(fast, slow);
     }
 
     #[test]

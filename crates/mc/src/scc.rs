@@ -5,8 +5,13 @@
 //! [`tarjan_scc_pooled`] writes into reusable [`SccScratch`] buffers —
 //! components become ranges into one flat order array, so a hot caller
 //! (the `leadsto` trap search runs once per property) performs no
-//! per-component allocation at all. Both must produce identical
-//! partitions in identical order; the unit tests below pin that.
+//! per-component allocation at all. The pooled form starts its depth-first
+//! search only from the roots it is given, so it visits just the part of
+//! the mask those roots reach; the `leadsto` decision pass roots it at the
+//! `p ∧ ¬q` states. Rooted at every mask node, it produces the partition
+//! of [`tarjan_scc`] in identical order; rooted at a subset, that of
+//! [`tarjan_scc`] on the reached subgraph with the roots numbered first.
+//! The unit tests below pin both.
 
 /// Reusable buffers for [`tarjan_scc_pooled`]. Sized to the graph on
 /// first use and reused across runs (pooled in the verifier session's
@@ -24,8 +29,8 @@ pub struct SccScratch {
     /// Iterative DFS frames: (node, next successor position).
     work: Vec<(u32, u32)>,
     /// All visited nodes, grouped by component (each component's
-    /// members are contiguous, in the same order [`tarjan_scc`] lists
-    /// them).
+    /// members are contiguous, in the order they leave Tarjan's stack,
+    /// as [`tarjan_scc`] lists them).
     order: Vec<u32>,
     /// End offset into `order` of each component, in component order.
     comp_ends: Vec<u32>,
@@ -39,12 +44,14 @@ impl SccScratch {
         self.comp_ends.len()
     }
 
-    /// Number of nodes visited by the last run (the mask's population).
+    /// Number of nodes visited by the last run: the mask nodes its roots
+    /// reach.
     pub fn visited(&self) -> usize {
         self.order.len()
     }
 
-    /// Members of component `cid`, in [`tarjan_scc`]'s member order.
+    /// Members of component `cid`, in the order they left Tarjan's
+    /// stack ([`tarjan_scc`]'s member order).
     pub fn members(&self, cid: usize) -> &[u32] {
         let lo = if cid == 0 {
             0
@@ -54,19 +61,25 @@ impl SccScratch {
         &self.order[lo..self.comp_ends[cid] as usize]
     }
 
-    /// Component id of node `v` (`u32::MAX` when `v` was outside the
-    /// mask of the last run).
+    /// Component id of node `v` (`u32::MAX` when the last run did not
+    /// visit `v`).
     pub fn comp_of(&self, v: u32) -> u32 {
         self.comp_of[v as usize]
     }
 }
 
-/// [`tarjan_scc`] with pooled scratch and flat component storage: same
-/// traversal, same component order, same member order — but the output
-/// lives in `scratch` as ranges into one order array instead of a
-/// `Vec<Vec<u32>>`, and every auxiliary array is reused across runs.
+/// [`tarjan_scc`] started from `roots` only, with pooled scratch and flat
+/// component storage: the output lives in `scratch` as ranges into one
+/// order array instead of a `Vec<Vec<u32>>`, and every auxiliary array is
+/// reused across runs.
+///
+/// `roots` are the nodes to start from, in ascending id order; a root
+/// outside the mask or already visited is skipped. The run visits the mask
+/// nodes the roots reach and nothing else. Rooted at every mask node, it
+/// is [`tarjan_scc`]'s traversal: same component order, same member order.
 pub fn tarjan_scc_pooled<'a>(
     mask: &[bool],
+    roots: impl IntoIterator<Item = u32>,
     succ: impl Fn(u32) -> &'a [u32] + Copy,
     scratch: &mut SccScratch,
 ) {
@@ -87,7 +100,7 @@ pub fn tarjan_scc_pooled<'a>(
     s.comp_ends.clear();
     let mut next_index: u32 = 0;
 
-    for start in 0..n as u32 {
+    for start in roots {
         if !mask[start as usize] || s.index[start as usize] != UNVISITED {
             continue;
         }
@@ -307,9 +320,40 @@ mod tests {
         adj: &[Vec<u32>],
         scratch: &mut SccScratch,
     ) -> Vec<Vec<u32>> {
-        tarjan_scc_pooled(mask, |v| adj[v as usize].as_slice(), scratch);
+        rooted_components(mask, mask_nodes(mask), adj, scratch)
+    }
+
+    /// The pooled pass from `roots`, collected like [`pooled_components`].
+    fn rooted_components(
+        mask: &[bool],
+        roots: Vec<u32>,
+        adj: &[Vec<u32>],
+        scratch: &mut SccScratch,
+    ) -> Vec<Vec<u32>> {
+        tarjan_scc_pooled(mask, roots, |v| adj[v as usize].as_slice(), scratch);
         (0..scratch.comp_count())
             .map(|cid| scratch.members(cid).to_vec())
+            .collect()
+    }
+
+    /// Every node inside `mask`, in id order: the roots that make the
+    /// pooled pass cover the whole mask.
+    fn mask_nodes(mask: &[bool]) -> Vec<u32> {
+        (0..mask.len() as u32)
+            .filter(|&v| mask[v as usize])
+            .collect()
+    }
+
+    /// A pseudo-random subset of `0..n` (a linear congruential stream).
+    fn random_mask(n: usize, seed: u64) -> Vec<bool> {
+        let mut x = seed;
+        (0..n)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 33) & 1 == 0
+            })
             .collect()
     }
 
@@ -366,15 +410,7 @@ mod tests {
         let adj = random_graph(120, 500, 0xabcd);
         let mut scratch = SccScratch::default();
         for seed in 1u64..6 {
-            let mut x = seed;
-            let mask: Vec<bool> = (0..adj.len())
-                .map(|_| {
-                    x = x
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    (x >> 33) & 1 == 0
-                })
-                .collect();
+            let mask = random_mask(adj.len(), seed);
             let expect = tarjan_scc(&mask, |v| adj[v as usize].as_slice());
             let got = pooled_components(&mask, &adj, &mut scratch);
             assert_eq!(got, expect, "masked partition diverged (seed {seed})");
@@ -385,6 +421,96 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn rooted_pass_is_tarjan_on_the_reached_subgraph() {
+        // Rooted at a random subset of a random mask, the pooled pass must
+        // equal `tarjan_scc` on the subgraph the roots reach, in partition
+        // and in order, once the roots are renumbered to come first (in
+        // their own order, rows unchanged): `tarjan_scc` then starts from
+        // the same nodes in the same order, and every later start is
+        // already visited.
+        let graphs = [
+            random_graph(200, 600, 0xfeed),
+            random_graph(97, 97, 42),
+            random_graph(50, 400, 7),
+            random_graph(120, 500, 0xabcd),
+        ];
+        let mut scratch = SccScratch::default();
+        for (g, adj) in graphs.iter().enumerate() {
+            let n = adj.len();
+            for seed in 1u64..6 {
+                let mask = random_mask(n, seed * 7 + g as u64);
+                let pick = random_mask(n, seed * 131 + 3 + g as u64);
+                // About a quarter of the mask nodes.
+                let roots: Vec<u32> = mask_nodes(&mask)
+                    .into_iter()
+                    .filter(|&v| pick[v as usize] && pick[(v as usize * 5 + 1) % n])
+                    .collect();
+                // The mask nodes the roots reach.
+                let mut reached = vec![false; n];
+                let mut stack = roots.clone();
+                for &r in &roots {
+                    reached[r as usize] = true;
+                }
+                while let Some(v) = stack.pop() {
+                    for &w in &adj[v as usize] {
+                        if mask[w as usize] && !reached[w as usize] {
+                            reached[w as usize] = true;
+                            stack.push(w);
+                        }
+                    }
+                }
+                // Renumber: roots first, then every other node, each group
+                // in id order.
+                let order: Vec<u32> = roots
+                    .iter()
+                    .copied()
+                    .chain((0..n as u32).filter(|v| !roots.contains(v)))
+                    .collect();
+                let mut new_id = vec![0u32; n];
+                for (k, &v) in order.iter().enumerate() {
+                    new_id[v as usize] = k as u32;
+                }
+                let renumbered: Vec<Vec<u32>> = order
+                    .iter()
+                    .map(|&v| {
+                        adj[v as usize]
+                            .iter()
+                            .map(|&w| new_id[w as usize])
+                            .collect()
+                    })
+                    .collect();
+                let sub_mask: Vec<bool> = order.iter().map(|&v| reached[v as usize]).collect();
+                let expect: Vec<Vec<u32>> =
+                    tarjan_scc(&sub_mask, |v| renumbered[v as usize].as_slice())
+                        .into_iter()
+                        .map(|comp| comp.into_iter().map(|k| order[k as usize]).collect())
+                        .collect();
+                let got = rooted_components(&mask, roots, adj, &mut scratch);
+                assert_eq!(got, expect, "graph {g}, seed {seed}");
+                assert_eq!(scratch.visited(), reached.iter().filter(|&&r| r).count());
+                for v in 0..n as u32 {
+                    assert_eq!(scratch.comp_of(v) != u32::MAX, reached[v as usize]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn roots_outside_the_mask_or_already_visited_are_skipped() {
+        // 0 -> 1 -> 2 -> 1, with 0 masked out: rooted at 0 the pass visits
+        // nothing; rooted at 1 and again at 2 it finds {1, 2} once.
+        let adj = adjacency(3, &[(0u32, 1u32), (1, 2), (2, 1)]);
+        let mask = [false, true, true];
+        let mut scratch = SccScratch::default();
+        assert!(rooted_components(&mask, vec![0], &adj, &mut scratch).is_empty());
+        assert_eq!(scratch.visited(), 0);
+        assert_eq!(
+            rooted_components(&mask, vec![0, 1, 2], &adj, &mut scratch),
+            vec![vec![2, 1]]
+        );
     }
 
     #[test]
@@ -410,7 +536,7 @@ mod tests {
             &(0..n - 1).map(|v| (v, v + 1)).collect::<Vec<_>>(),
         );
         let mut scratch = SccScratch::default();
-        tarjan_scc_pooled(&mask, |v| adj[v as usize].as_slice(), &mut scratch);
+        tarjan_scc_pooled(&mask, 0..n, |v| adj[v as usize].as_slice(), &mut scratch);
         assert_eq!(scratch.comp_count(), n as usize);
     }
 }

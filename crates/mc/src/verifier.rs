@@ -314,12 +314,15 @@ pub enum VerdictStats {
         states: u64,
         /// Transitions computed (0 for pure scans).
         transitions: u64,
-        /// `¬q` states the leadsto SCC pass actually visited.
+        /// `¬q` states the leadsto SCC pass actually visited: those
+        /// reachable from `p ∧ ¬q` through `¬q` (every `¬q` state under
+        /// the reference engine).
         scanned_states: u64,
-        /// Predecessor edges walked by the leadsto worklist.
+        /// Predecessor edges walked by the leadsto worklist, which only
+        /// a refutation runs (0 on a passing check).
         pred_edges: u64,
         /// States pushed onto the leadsto worklist (trap seeds
-        /// included).
+        /// included; 0 on a passing check).
         worklist_pushes: u64,
         /// Wall-clock milliseconds the transition-system build took
         /// (0 for pure scans, which build no system).

@@ -1,10 +1,12 @@
 //! Differential tests of the worklist liveness engine: on random small
-//! programs and predicates, the predecessor-CSR worklist formulation
-//! (`check_leadsto_on`) must agree with the pre-worklist quiescence
-//! formulation (`check_leadsto_on_reference`) — verdict, SCC/trap
-//! counts, and the lasso witness itself, state-for-state — across both
-//! universes and every fairness shape (`D = ∅`, partial, all-fair).
-//! Witnesses are additionally replayed on the reference semantics.
+//! programs and predicates, the worklist formulation (`check_leadsto_on`)
+//! must agree with the pre-worklist quiescence formulation
+//! (`check_leadsto_on_reference`) — verdict and the lasso witness itself,
+//! state-for-state — across both universes and every fairness shape
+//! (`D = ∅`, partial, all-fair). A passing check's counters must
+//! describe exactly the `¬q` region that the `p ∧ ¬q` states reach, which
+//! a plain search in this file computes. Witnesses are additionally
+//! replayed on the reference semantics.
 
 use std::sync::Arc;
 
@@ -16,6 +18,7 @@ use unity_core::expr::Expr;
 use unity_core::ident::{VarId, Vocabulary};
 use unity_core::program::Program;
 use unity_mc::prelude::*;
+use unity_mc::scc::tarjan_scc;
 use unity_mc::trace::Counterexample;
 
 const X: VarId = VarId(0);
@@ -110,12 +113,40 @@ fn assert_replayable(program: &Program, p: &Expr, q: &Expr, cex: &Counterexample
     assert!(trap.contains(entry), "prefix ends inside the trap");
 }
 
+/// The `¬q` states reachable from a `p ∧ ¬q` state through `¬q` states:
+/// a breadth-first search over the move rows, with `p` and `q` evaluated
+/// on the decoded states.
+fn decision_region(ts: &TransitionSystem, p: &Expr, q: &Expr) -> Vec<bool> {
+    let not_q: Vec<bool> = (0..ts.len() as u32)
+        .map(|v| !eval_bool(q, &ts.state(v)))
+        .collect();
+    let mut region = vec![false; ts.len()];
+    let mut queue: Vec<u32> = (0..ts.len() as u32)
+        .filter(|&v| not_q[v as usize] && eval_bool(p, &ts.state(v)))
+        .collect();
+    for &v in &queue {
+        region[v as usize] = true;
+    }
+    let mut head = 0;
+    while let Some(&v) = queue.get(head) {
+        head += 1;
+        for &w in ts.succ_row(v as usize) {
+            if not_q[w as usize] && !region[w as usize] {
+                region[w as usize] = true;
+                queue.push(w);
+            }
+        }
+    }
+    region
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Worklist ≡ quiescence on the same transition system:
-    /// verdict, SCC partition size, trap count, scanned region, and the
-    /// lasso witness itself.
+    /// Worklist ≡ quiescence on the same transition system: verdict and
+    /// the lasso witness itself. A pass searched exactly the `¬q` region
+    /// the `p ∧ ¬q` states reach, found no trap there, and walked no
+    /// predecessor.
     #[test]
     fn worklist_equals_reference_propagation(
         program in arb_program(),
@@ -130,10 +161,14 @@ proptest! {
                 (Ok(a), Ok(b)) => {
                     prop_assert_eq!(a.states, b.states);
                     prop_assert_eq!(a.transitions, b.transitions);
-                    prop_assert_eq!(a.sccs, b.sccs, "SCC count parity");
-                    prop_assert_eq!(a.traps, b.traps, "trap count parity");
-                    prop_assert_eq!(a.scanned_states, b.scanned_states,
-                                    "both visit exactly the ¬q region");
+                    let region = decision_region(&ts, &p, &q);
+                    prop_assert_eq!(a.traps, 0, "a pass found no trap");
+                    prop_assert_eq!(a.scanned_states, region.iter().filter(|&&r| r).count(),
+                                    "the pass visits exactly the region p ∧ ¬q reaches");
+                    prop_assert_eq!(a.sccs, tarjan_scc(&region, |v| ts.succ_row(v as usize)).len(),
+                                    "and finds exactly that region's components");
+                    prop_assert_eq!((a.pred_edges, a.worklist_pushes), (0, 0),
+                                    "a pass walks no predecessor");
                 }
                 (Err(McError::Refuted { property: pa, cex: ca }),
                  Err(McError::Refuted { property: pb, cex: cb })) => {
@@ -232,10 +267,16 @@ fn empty_fair_set_edge_case() {
     }
     let ts =
         TransitionSystem::build(&program, Universe::Reachable, &ScanConfig::default()).unwrap();
-    let report = check_leadsto_on(&ts, &program, &ff(), &ff()).unwrap();
+    let report = check_leadsto_on_reference(&ts, &program, &ff(), &ff()).unwrap();
     assert_eq!(
         report.sccs, report.traps,
         "with D = ∅ every ¬q SCC is a trap"
+    );
+    // No state satisfies p, so the worklist engine searches nothing.
+    let report = check_leadsto_on(&ts, &program, &ff(), &ff()).unwrap();
+    assert_eq!(
+        (report.sccs, report.traps, report.scanned_states),
+        (0, 0, 0)
     );
 }
 
@@ -260,7 +301,10 @@ fn all_fair_cycle_edge_case() {
             assert_eq!(fast.traps, 0);
             assert_eq!(slow.traps, 0);
             assert_eq!(fast.worklist_pushes, 0, "no trap seeds, no propagation");
-            assert_eq!(fast.sccs, slow.sccs);
+            // p's one state moves straight into q: the worklist engine
+            // visits only it, the reference every ¬q state.
+            assert_eq!((fast.sccs, fast.scanned_states), (1, 1));
+            assert_eq!((slow.sccs, slow.scanned_states), (4, 4));
         }
     }
 }

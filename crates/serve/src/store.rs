@@ -27,17 +27,22 @@
 //! magic header, artifact kind, payload length, checksum. Decoding is
 //! defensive end to end — a missing, truncated, corrupt, or
 //! version-skewed segment is a **cache miss** (the artifact rebuilds
-//! from the spec), never an error and never trusted bytes. Predecessor
-//! indexes only decode against a successfully decoded transition system
-//! of the same universe, so their structural validation
+//! from the spec), never an error and never trusted bytes. A segment
+//! that is present but fails to decode is removed, so the next save of
+//! that program writes it afresh. Predecessor indexes only decode
+//! against a successfully decoded transition system of the same
+//! universe, so their structural validation
 //! (`PredIndex::from_artifact_bytes`) always has the true state/edge
 //! counts to check against.
 //!
 //! A small in-memory layer (most-recently-submitted specs, capped at
 //! [`MEM_CACHE_SPECS`]) fronts the disk: re-submitting a spec the
 //! daemon has already seen skips even the segment decode. Writes are
-//! atomic (temp file + rename) so a crash mid-persist leaves either the
-//! old segment or the new one, not a torn file.
+//! atomic (temp file + rename), so a crashed process leaves either the
+//! old segment or the new one, not a torn file. Segments are caches and
+//! are not fsync'd: after a power cut one may be torn or empty, which
+//! reads as a miss and is rewritten. The verdict journal is what is
+//! durable.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::Hasher as _;
@@ -104,13 +109,20 @@ fn lock(m: &Mutex<MemCache>) -> MutexGuard<'_, MemCache> {
 /// Numbers this process's temp files, so concurrent writes never share one.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Atomic file write: temp sibling + rename. A crash anywhere in here
-/// leaves either no destination file or the complete old one — the
+/// Atomic file write: temp sibling + rename. A process crash anywhere in
+/// here leaves either no destination file or the complete old one — the
 /// `store.save.torn` failpoint proves it by writing a prefix of the
 /// temp file and aborting before the rename. Each write gets its own
 /// temp name (`<file>.<pid>.<n>.tmp`): two concurrent saves of one
 /// segment would otherwise truncate each other's temp file, and the
 /// loser's rename would fail. A failed write removes its temp file.
+///
+/// Nothing here is durable: the data is not fsync'd before the rename,
+/// so a power cut may leave the new name holding torn or no bytes. Every
+/// caller writes a checksummed segment (or the spec source, which is
+/// never read back as an artifact), so such a file reads as a miss, and
+/// the load that finds it removes it for the next save to rewrite. Only
+/// the verdict journal fsyncs, before every acknowledgement.
 fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(format!(
@@ -123,7 +135,6 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
         let mut f = std::fs::File::create(&tmp)?;
         unity_fault::fail_torn_write!("store.save.torn", f, bytes);
         std::io::Write::write_all(&mut f, bytes)?;
-        f.sync_data()?;
         drop(f);
         std::fs::rename(&tmp, path)
     })();
@@ -161,7 +172,8 @@ impl ArtifactStore {
     /// Loads whatever artifacts the store has for `hash`, decoded
     /// against `program`/`cfg` (the freshly parsed submission). Every
     /// failure — absent file, corrupt segment, mismatched shape — is an
-    /// empty slot.
+    /// empty slot, and a segment that is present but does not decode is
+    /// removed so that the next [`ArtifactStore::save`] rewrites it.
     pub fn load(&self, hash: &str, program: &Program, cfg: &ScanConfig) -> SessionArtifacts {
         if let Some(cached) = lock(&self.mem).map.get(hash) {
             return cached.clone();
@@ -171,24 +183,40 @@ impl ArtifactStore {
         unity_fault::fail_point!("store.load.read", |_m: String| SessionArtifacts::default());
         let dir = self.program_dir(hash);
         let mut arts = SessionArtifacts::default();
-        for (k, slot) in UNIVERSE_SLOT.iter().enumerate() {
-            let ts_bytes = match std::fs::read(dir.join(format!("ts_{slot}.seg"))) {
-                Ok(b) => b,
-                Err(_) => continue,
+        // A reference-engine session has no packed layout, so no stored
+        // transition system applies to it, however sound its bytes.
+        let slots = if cfg.uses_compiled() {
+            &UNIVERSE_SLOT[..]
+        } else {
+            &[]
+        };
+        for (k, slot) in slots.iter().enumerate() {
+            let ts_path = dir.join(format!("ts_{slot}.seg"));
+            let Ok(ts_bytes) = std::fs::read(&ts_path) else {
+                continue;
             };
             let Some(ts) = decode_ts(&ts_bytes, program, cfg) else {
+                discard(&ts_path);
                 continue;
             };
             // The predecessor index is only meaningful relative to a
             // decoded transition system: its validation needs the true
             // state and edge counts.
-            if let Ok(pred_bytes) = std::fs::read(dir.join(format!("pred_{slot}.seg"))) {
+            let pred_path = dir.join(format!("pred_{slot}.seg"));
+            if let Ok(pred_bytes) = std::fs::read(&pred_path) {
                 arts.pred[k] = decode_pred(&pred_bytes, &ts).map(Arc::new);
+                if arts.pred[k].is_none() {
+                    discard(&pred_path);
+                }
             }
             arts.ts[k] = Some(Arc::new(ts));
         }
-        if let Ok(order_bytes) = std::fs::read(dir.join("field_order.seg")) {
+        let order_path = dir.join("field_order.seg");
+        if let Ok(order_bytes) = std::fs::read(&order_path) {
             arts.field_order = decode_field_order(&order_bytes);
+            if arts.field_order.is_none() {
+                discard(&order_path);
+            }
         }
         if !arts.is_empty() {
             self.remember(hash, arts.clone());
@@ -343,6 +371,16 @@ impl ArtifactStore {
         mem.map.clear();
         mem.order.clear();
     }
+}
+
+/// Removes a segment that is present but does not decode (torn, corrupt
+/// or of another format version): `save` skips a segment file that
+/// exists, so left in place it would never be rewritten. If a concurrent
+/// save renamed a good segment into place after the bad one was read,
+/// that one goes too, which costs one more rebuild, never a wrong
+/// verdict.
+fn discard(path: &Path) {
+    let _ = std::fs::remove_file(path);
 }
 
 fn decode_ts(bytes: &[u8], program: &Program, cfg: &ScanConfig) -> Option<TransitionSystem> {
@@ -501,6 +539,58 @@ mod tests {
         let loaded = store.load(&hash, program, &cfg);
         assert!(loaded.ts[0].is_none());
         assert!(loaded.pred[0].is_none());
+    }
+
+    #[test]
+    fn a_segment_that_failed_to_decode_is_rewritten_by_the_next_save() {
+        let store = tmp_store("rewrite");
+        let spec = load_spec(SPEC).unwrap();
+        let program = &spec.system.composed;
+        let cfg = ScanConfig::default();
+        let hash = spec_hash(SPEC);
+        let mut session = Verifier::new(program, cfg.clone());
+        let _ = session.verify_all(&spec.checks);
+        let built = session.artifacts();
+        store.save(&hash, SPEC, &built).unwrap();
+        store.drop_memory_cache();
+
+        let ts_path = store.program_dir(&hash).join("ts_reachable.seg");
+        let mut bytes = std::fs::read(&ts_path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        std::fs::write(&ts_path, &bytes).unwrap();
+        let loaded = store.load(&hash, program, &cfg);
+        assert!(loaded.ts[0].is_none(), "a flipped byte is a miss");
+
+        let mut session = Verifier::new(program, cfg.clone());
+        session.seed(loaded);
+        let _ = session.verify_all(&spec.checks);
+        store.save(&hash, SPEC, &session.artifacts()).unwrap();
+        store.drop_memory_cache();
+        let reloaded = store.load(&hash, program, &cfg);
+        let ts = reloaded.ts[0]
+            .as_ref()
+            .expect("the save rewrote the segment");
+        let want = built.ts[0].as_ref().unwrap();
+        assert_eq!((ts.len(), ts.move_count()), (want.len(), want.move_count()));
+        assert!(reloaded.pred[0].is_some());
+    }
+
+    #[test]
+    fn a_reference_session_leaves_packed_segments_alone() {
+        // No packed layout applies under the reference engine, so its
+        // load must neither use nor remove the segments.
+        let store = tmp_store("reference");
+        let spec = load_spec(SPEC).unwrap();
+        let program = &spec.system.composed;
+        let hash = spec_hash(SPEC);
+        let mut session = Verifier::new(program, ScanConfig::default());
+        let _ = session.verify_all(&spec.checks);
+        store.save(&hash, SPEC, &session.artifacts()).unwrap();
+        store.drop_memory_cache();
+        assert!(store.load(&hash, program, &ScanConfig::reference()).ts[0].is_none());
+        store.drop_memory_cache();
+        assert!(store.load(&hash, program, &ScanConfig::default()).ts[0].is_some());
     }
 
     #[test]

@@ -56,7 +56,11 @@
 //! one, otherwise the states the safety scans counted; live/peak BDD
 //! nodes, apply-cache hit rate, sift passes/swaps and GC activity for
 //! the symbolic engine, with the reachable set only when a check
-//! computed it. Adding `--stats` never changes what a run computes.
+//! computed it. With `leadsto` checks it adds one `STATS leadsto:` line
+//! summed over them: the `¬q` states each check's SCC pass visited
+//! (those reachable from `p ∧ ¬q`), and the predecessor edges and
+//! worklist pushes of the backward walk that only a refuted check runs.
+//! Adding `--stats` never changes what a run computes.
 //!
 //! `--compositional` verifies assume-guarantee style instead of on the
 //! flat product: each obligation discharges in component state spaces
@@ -614,7 +618,8 @@ fn run_compositional(
 /// symbolic engine's arena/reorder/cache counters, with the reachable
 /// set only when a check computed it; and, when the spec has `leadsto`
 /// checks, the worklist liveness engine's traversal counters
-/// aggregated across them.
+/// aggregated across them (the predecessor walk runs only for a
+/// refuted check).
 fn stats_report(
     opts: &Options,
     session: &mut Verifier<'_>,
